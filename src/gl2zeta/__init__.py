@@ -3,8 +3,8 @@ for GL(2,F_q) and PGL(2,F_q), with a brute-force enumeration oracle."""
 
 from .cyclo import CycNumber, Rational, cyclotomic_polynomial, root_of_unity
 from .ffield import CapExceeded, ExtField, Field, FieldError, build_extension, build_field, prime_power
-from .grp import ConjClass, GLContext, PGLContext, make_context
-from .oracle import ClassFunction, GroupTable, brute_hom_count, brute_quotient_count
+from .grp import ClassFunction, ConjClass, GLContext, PGLContext, make_context
+from .oracle import GroupTable, brute_hom_count, brute_quotient_count
 from .reptheory import CharacterTable, Irrep
 from .topo import HomCount, SurfaceSpec, hom_count, induced_char_value, quotient_count
 from .verify import run_verify

@@ -25,7 +25,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from .zeta import (
     zeta as zeta_sum,
@@ -42,7 +41,7 @@ from .zeta import (
 from .cyclo import CycNumber
 from .ffield import CapExceeded, FieldError
 from .grp import ConjClass, GLContext, PGLContext
-from .oracle import GroupTable, brute_hom_count, brute_quotient_count, compute_theta
+from .oracle import GroupTable, brute_hom_count, brute_quotient_count
 from .reptheory import CharacterTable, Irrep
 from .topo import SurfaceSpec, hom_count, quotient_count
 from .verify import run_verify
@@ -327,11 +326,6 @@ def cmd_count(args) -> int:
     exit_code = 0
     if args.oracle:
         gtable = GroupTable(ctx)
-        if args.cache:
-            _load_theta_cache(gtable, Path(args.cache), spec)
-        compute_theta(gtable, "torus" if spec.orientable else "square", jobs=args.jobs)
-        if args.cache:
-            _store_theta_cache(gtable, Path(args.cache))
         if args.quotient:
             brute = brute_quotient_count(gtable, spec, "burnside")
         else:
@@ -351,43 +345,6 @@ def cmd_count(args) -> int:
         if args.oracle:
             sys.stdout.write(f"oracle: {doc['oracle']}\nverdict: {doc['verdict']}\n")
     return exit_code
-
-
-def _theta_cache_path(cachedir: Path, group: str, q: int, kind: str) -> Path:
-    return cachedir / f"theta-{group}-q{q}-{kind}.json"
-
-
-def _store_theta_cache(table: GroupTable, cachedir: Path) -> None:
-    cachedir.mkdir(parents=True, exist_ok=True)
-    ctx = table.ctx
-    for kind, values in table._theta.items():
-        doc = {
-            "schema": SCHEMA,
-            "kind": "theta-cache",
-            "group": ctx.group,
-            "q": ctx.q,
-            "theta": kind,
-            "values": {
-                ctx.class_label(c): str(v) for c, v in zip(ctx.classes, values)
-            },
-        }
-        _theta_cache_path(cachedir, ctx.group, ctx.q, kind).write_text(_dumps(doc))
-
-
-def _load_theta_cache(table: GroupTable, cachedir: Path, spec: SurfaceSpec) -> None:
-    ctx = table.ctx
-    kind = "torus" if spec.orientable else "square"
-    path = _theta_cache_path(cachedir, ctx.group, ctx.q, kind)
-    if not path.exists():
-        return
-    doc = json.loads(path.read_text())
-    if doc.get("schema") != SCHEMA or doc.get("q") != ctx.q or doc.get("group") != ctx.group:
-        return
-    labels = {ctx.class_label(c): i for i, c in enumerate(ctx.classes)}
-    values = [0] * len(ctx.classes)
-    for label, v in doc["values"].items():
-        values[labels[label]] = int(v)
-    table._theta[doc["theta"]] = values
 
 
 def cmd_fusion(args) -> int:
@@ -555,8 +512,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--insert", action="append", metavar="CLASSSPEC")
     sp.add_argument("--quotient", action="store_true")
     sp.add_argument("--oracle", action="store_true")
-    sp.add_argument("--jobs", type=int, default=1)
-    sp.add_argument("--cache", metavar="DIR")
     sp.set_defaults(fn=cmd_count)
 
     sp = sub.add_parser("fusion", help="fusion coefficients (GL context)")

@@ -78,6 +78,30 @@ class Centralizer:
     order: int
 
 
+class ClassFunction:
+    """Exact function on conjugacy classes (values indexed by class order)."""
+
+    def __init__(self, ctx, values):
+        values = list(values)
+        if len(values) != len(ctx.classes):
+            raise ValueError("class function must cover every class")
+        self.ctx = ctx
+        self.values = values
+
+    def __call__(self, c: ConjClass):
+        return self.values[self.ctx.class_index[c]]
+
+    def __eq__(self, other):
+        if not isinstance(other, ClassFunction):
+            return NotImplemented
+        return self.ctx is other.ctx and all(
+            a == b for a, b in zip(self.values, other.values)
+        )
+
+    def __repr__(self):
+        return f"ClassFunction({self.values})"
+
+
 class GLContext:
     """GL(2, F_q): canonical class list, sizes, representatives, classify."""
 

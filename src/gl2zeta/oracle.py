@@ -6,47 +6,28 @@ orbits.  It shares only the field/matrix arithmetic with the formula-side
 modules and never consults the character table, so agreement between the
 two paths is a genuine cross-check.
 
-Hom-set counts are assembled as exact integer convolutions of class
-functions built by enumeration, so only the theta-building loops are
-bounded by the cap; genus and boundary count are then free.
+No loop over G runs inside another loop over G.  The class functions and
+structure constants are read off one column x -> x r per probed element r
+(each class representative, plus a second member that checks the result is
+a class function), so the cost is O(|G| * #classes) matrix products.
+Hom-set counts are assembled as exact integer convolutions of those class
+functions, so genus and boundary count are free.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .ffield import CapExceeded
-from .grp import ConjClass, mat_inv, mat_mul
+from .grp import ClassFunction, ConjClass, mat_inv, mat_mul
 
 DEFAULT_ELEMENT_CAP = 1200
 
 
-class ClassFunction:
-    """Exact function on conjugacy classes (values indexed by class order)."""
-
-    def __init__(self, ctx, values):
-        values = list(values)
-        if len(values) != len(ctx.classes):
-            raise ValueError("class function must cover every class")
-        self.ctx = ctx
-        self.values = values
-
-    def __call__(self, c: ConjClass):
-        return self.values[self.ctx.class_index[c]]
-
-    def __eq__(self, other):
-        if not isinstance(other, ClassFunction):
-            return NotImplemented
-        return self.ctx is other.ctx and all(
-            a == b for a, b in zip(self.values, other.values)
-        )
-
-    def __repr__(self):
-        return f"ClassFunction({self.values})"
-
-
 class GroupTable:
-    """Explicit element list with multiplication, inverse and class data."""
+    """Explicit element list with products, inverses and class data.
+
+    Class representatives are the first member of each class in enumeration
+    order, and class sizes are counted from `class_of`.
+    """
 
     def __init__(self, ctx, cap: int = DEFAULT_ELEMENT_CAP):
         if ctx.order > cap:
@@ -64,40 +45,89 @@ class GroupTable:
         self.identity = self.index[normalize((1, 0, 0, 1))]
         self.inv = [self.index[normalize(mat_inv(F, m))] for m in self.elements]
         self.class_of = [ctx.class_index[ctx.classify(m)] for m in self.elements]
+        ncls = len(ctx.classes)
+        self.sizes = [0] * ncls
+        # the first two members of each class: the rep and a class-function probe
+        self._probes: list[list[int]] = [[] for _ in range(ncls)]
+        for x, ci in enumerate(self.class_of):
+            self.sizes[ci] += 1
+            if len(self._probes[ci]) < 2:
+                self._probes[ci].append(x)
+        self.reps = [probes[0] for probes in self._probes]
         self._mul_rows: dict[int, list[int]] = {}
+        self._columns: dict[int, list[int]] = {}
+        self._centralizers: dict[int, tuple] = {}
+        self._squares: list[int] | None = None
         self._theta: dict[str, list[int]] = {}
         self._struct = None
 
+    def product(self, i: int, j: int) -> int:
+        """Index of elements[i] * elements[j]: one matrix product."""
+        F = self.ctx.field
+        return self.index[self._normalize(mat_mul(F, self.elements[i], self.elements[j]))]
+
     def mul(self, i: int, j: int) -> int:
+        """Product through a lazily built full row of i (explicit-orbit path)."""
         row = self._mul_rows.get(i)
         if row is None:
-            F = self.ctx.field
-            mi = self.elements[i]
-            row = [
-                self.index[self._normalize(mat_mul(F, mi, mj))] for mj in self.elements
-            ]
+            row = [self.product(i, j) for j in range(self.n)]
             self._mul_rows[i] = row
         return row[j]
+
+    def column(self, r: int) -> list[int]:
+        """x -> index of x * elements[r], for every x; memoised per r."""
+        col = self._columns.get(r)
+        if col is None:
+            col = [self.product(x, r) for x in range(self.n)]
+            self._columns[r] = col
+        return col
+
+    def centralizer(self, r: int) -> tuple[list[int], list[list[int]]]:
+        """C_G(elements[r]) as (member indices, its multiplication table in
+        member positions).  Membership takes one row and one column of r, the
+        table |C_G|^2 products; memoised."""
+        cent = self._centralizers.get(r)
+        if cent is None:
+            col = self.column(r)
+            members = [h for h in range(self.n) if self.product(r, h) == col[h]]
+            pos = {g: i for i, g in enumerate(members)}
+            mul = [[pos[self.product(g, h)] for h in members] for g in members]
+            cent = self._centralizers[r] = (members, mul)
+        return cent
+
+    def squares(self) -> list[int]:
+        """h -> index of h^2, one product per element; memoised."""
+        if self._squares is None:
+            self._squares = [self.product(h, h) for h in range(self.n)]
+        return self._squares
+
+    def _class_values(self, at) -> list:
+        """at(rep) for each class, asserted equal at a second member of every
+        class of size > 1."""
+        values = []
+        for probes in self._probes:
+            v = at(probes[0])
+            assert all(at(x) == v for x in probes[1:]), "not a class function"
+            values.append(v)
+        return values
 
     # -- enumerative class functions --------------------------------------
 
     def theta_torus(self) -> ClassFunction:
-        """theta(k) = #{(A,B): A B A^-1 B^-1 = k}, by full pair enumeration."""
+        """theta(k) = #{(a,b): a b a^-1 b^-1 = k} = sum over x of [x k ~ x] |C_G(x)|.
+
+        With x = a^-1 the relation reads b x b^-1 = x k, which has |C_G(x)|
+        solutions b when x k ~ x and none otherwise."""
         if "torus" not in self._theta:
-            counts = [0] * len(self.ctx.classes)
-            per_element = [0] * self.n
-            for a in range(self.n):
-                row_a = [self.mul(a, b) for b in range(self.n)]
-                for b in range(self.n):
-                    # [a,b] = (ab)(ba)^-1
-                    k = self.mul(row_a[b], self.inv[self.mul(b, a)])
-                    per_element[k] += 1
-            for k, cnt in enumerate(per_element):
-                counts[self.class_of[k]] += cnt
-            sizes = self.ctx.sizes
-            values = [counts[ci] // sizes[ci] for ci in range(len(counts))]
-            assert [v * s for v, s in zip(values, sizes)] == counts, "not a class function"
-            assert sum(counts) == self.n * self.n
+            cls, n = self.class_of, self.n
+            cent = [n // s for s in self.sizes]
+
+            def at(k):
+                col = self.column(k)
+                return sum(cent[cls[x]] for x in range(n) if cls[col[x]] == cls[x])
+
+            values = self._class_values(at)
+            assert sum(v * s for v, s in zip(values, self.sizes)) == n * n
             self._theta["torus"] = values
         return ClassFunction(self.ctx, self._theta["torus"])
 
@@ -105,15 +135,10 @@ class GroupTable:
         """theta(g) = #{h: h^2 = g}."""
         if "square" not in self._theta:
             per_element = [0] * self.n
-            for h in range(self.n):
-                per_element[self.mul(h, h)] += 1
-            counts = [0] * len(self.ctx.classes)
-            for k, cnt in enumerate(per_element):
-                counts[self.class_of[k]] += cnt
-            sizes = self.ctx.sizes
-            values = [counts[ci] // sizes[ci] for ci in range(len(counts))]
-            assert [v * s for v, s in zip(values, sizes)] == counts
-            assert sum(counts) == self.n
+            for s in self.squares():
+                per_element[s] += 1
+            values = self._class_values(per_element.__getitem__)
+            assert sum(v * s for v, s in zip(values, self.sizes)) == self.n
             self._theta["square"] = values
         return ClassFunction(self.ctx, self._theta["square"])
 
@@ -130,22 +155,27 @@ class GroupTable:
     # -- convolution -------------------------------------------------------
 
     def _structure_constants(self):
-        """K[A][B][C] = #{(a,b) in A x B : ab = rep(C)} (counting convolution)."""
+        """K[A][B][C] = #{(a,b) in A x B : ab = rep(C)} = #{a in A : a^-1 rep(C) in B}."""
         if self._struct is None:
             ncls = len(self.ctx.classes)
-            K = [[[0] * ncls for _ in range(ncls)] for _ in range(ncls)]
-            cls = self.class_of
-            for a in range(self.n):
-                ca = cls[a]
-                Ka = K[ca]
-                for b in range(self.n):
-                    Ka[cls[b]][cls[self.mul(a, b)]] += 1
-            sizes = self.ctx.sizes
+            cls, inv = self.class_of, self.inv
+
+            def at(k):
+                col = self.column(k)
+                M = [[0] * ncls for _ in range(ncls)]
+                for a in range(self.n):
+                    M[cls[a]][cls[col[inv[a]]]] += 1
+                return M
+
+            per_class = self._class_values(at)  # per_class[C][A][B]
+            sizes = self.sizes
+            K = [
+                [[per_class[C][A][B] for C in range(ncls)] for B in range(ncls)]
+                for A in range(ncls)
+            ]
             for A in range(ncls):
                 for B in range(ncls):
-                    for C in range(ncls):
-                        assert K[A][B][C] % sizes[C] == 0
-                        K[A][B][C] //= sizes[C]
+                    assert sum(k * s for k, s in zip(K[A][B], sizes)) == sizes[A] * sizes[B]
             self._struct = K
         return self._struct
 
@@ -174,51 +204,6 @@ class GroupTable:
 # -- hom-set counting ---------------------------------------------------------
 
 
-def _theta_range_worker(args):
-    group, q, kind, start, stop, cap = args
-    from .grp import make_context
-
-    table = GroupTable(make_context(group, q), cap=cap)
-    per = [0] * table.n
-    if kind == "torus":
-        for a in range(start, stop):
-            for b in range(table.n):
-                per[table.mul(table.mul(a, b), table.inv[table.mul(b, a)])] += 1
-    else:
-        for h in range(start, stop):
-            per[table.mul(h, h)] += 1
-    return per
-
-
-def compute_theta(table: GroupTable, kind: str, jobs: int = 1) -> ClassFunction:
-    """theta_torus / theta_square, optionally split over worker processes
-    by disjoint element-index ranges (integer-sum reduction)."""
-    if kind not in ("torus", "square"):
-        raise ValueError("kind must be 'torus' or 'square'")
-    if jobs <= 1 or table.n < 64:
-        return table.theta_torus() if kind == "torus" else table.theta_square()
-    if kind in table._theta:
-        return ClassFunction(table.ctx, table._theta[kind])
-    import multiprocessing
-
-    ctx = table.ctx
-    bounds = [table.n * i // jobs for i in range(jobs + 1)]
-    args = [
-        (ctx.group, ctx.q, kind, bounds[i], bounds[i + 1], max(ctx.order, 2))
-        for i in range(jobs)
-    ]
-    with multiprocessing.Pool(jobs) as pool:
-        partials = pool.map(_theta_range_worker, args)
-    per_element = [sum(col) for col in zip(*partials)]
-    counts = [0] * len(ctx.classes)
-    for k, cnt in enumerate(per_element):
-        counts[table.class_of[k]] += cnt
-    values = [counts[ci] // ctx.sizes[ci] for ci in range(len(counts))]
-    assert [v * s for v, s in zip(values, ctx.sizes)] == counts
-    table._theta[kind] = values
-    return ClassFunction(ctx, values)
-
-
 def brute_hom_count(table: GroupTable, spec) -> int:
     """|Hom(pi_1(surface), G)| with optional boundary-class constraints."""
     if not spec.orientable and spec.genus < 1:
@@ -234,62 +219,68 @@ def brute_hom_count(table: GroupTable, spec) -> int:
     return val
 
 
-def _hom_count_subset(table: GroupTable, members: list[int], spec) -> int:
-    """|Hom| into the subgroup given by element indices, boundaries still
-    constrained to the ambient conjugacy classes.  Element-space dynamic
-    programming; fine for the small centralizers this is used on."""
-    mset = set(members)
+def _hom_count_subset(table: GroupTable, members: list[int], mul, spec) -> int:
+    """|Hom| into the subgroup given by element indices and its own
+    multiplication table, boundaries still constrained to the ambient
+    conjugacy classes.  Element-space dynamic programming; fine for the small
+    centralizers this is used on."""
     pos = {g: i for i, g in enumerate(members)}
     m = len(members)
+    theta = [0] * m
     if spec.orientable:
-        theta = [0] * m
-        for a in members:
-            for b in members:
-                k = table.mul(table.mul(a, b), table.inv[table.mul(b, a)])
-                theta[pos[k]] += 1
+        inv = [pos[table.inv[g]] for g in members]
+        for a in range(m):
+            for b in range(m):
+                theta[mul[mul[a][b]][inv[mul[b][a]]]] += 1
     else:
-        theta = [0] * m
-        for h in members:
-            theta[pos[table.mul(h, h)]] += 1
+        for h in range(m):
+            theta[mul[h][h]] += 1
     vec = [0] * m
     vec[pos[table.identity]] = 1
     for _ in range(spec.genus):
         out = [0] * m
-        for i, g in enumerate(members):
+        for i in range(m):
             vi = vec[i]
             if not vi:
                 continue
-            for j, h in enumerate(members):
+            for j in range(m):
                 if theta[j]:
-                    out[pos[table.mul(g, h)]] += vi * theta[j]
+                    out[mul[i][j]] += vi * theta[j]
         vec = out
     for c in spec.boundaries:
         ci = table.ctx.class_index[c]
-        sel = [g for g in members if table.class_of[g] == ci]
+        sel = [j for j, g in enumerate(members) if table.class_of[g] == ci]
         out = [0] * m
-        for i, g in enumerate(members):
+        for i in range(m):
             vi = vec[i]
             if not vi:
                 continue
-            for h in sel:
-                out[pos[table.mul(g, h)]] += vi
+            for j in sel:
+                out[mul[i][j]] += vi
         vec = out
     return vec[pos[table.identity]]
 
 
 def brute_quotient_count(table: GroupTable, spec, method: str = "burnside") -> int:
     """|Hom(...)/Ad G| by Burnside over centralizers, or by explicit orbit
-    partition of the Hom-set (method="orbits", tiny cases only)."""
+    partition of the Hom-set (method="orbits", tiny cases only).
+
+    A central host fixes all of Hom and takes the convolution count on G;
+    every other host counts inside its own (small) centralizer."""
     if method == "orbits":
         return _orbit_quotient_count(table, spec)
     if method != "burnside":
         raise ValueError("method must be 'burnside' or 'orbits'")
     total = 0
-    for ci, c in enumerate(table.ctx.classes):
-        rep = next(g for g in range(table.n) if table.class_of[g] == ci)
-        members = [h for h in range(table.n) if table.mul(h, rep) == table.mul(rep, h)]
-        fixed = _hom_count_subset(table, members, spec)
-        total += table.ctx.sizes[ci] * fixed
+    whole = None
+    for size, rep in zip(table.sizes, table.reps):
+        if size == 1:
+            if whole is None:
+                whole = brute_hom_count(table, spec)
+            fixed = whole
+        else:
+            fixed = _hom_count_subset(table, *table.centralizer(rep), spec)
+        total += size * fixed
     assert total % table.n == 0, "Burnside sum must divide evenly"
     return total // table.n
 
@@ -351,46 +342,3 @@ def _enumerate_hom_tuples(table: GroupTable, spec) -> list[tuple]:
 
     extend((), table.identity, 0)
     return out
-
-
-# -- element-level spectral checks ---------------------------------------------
-
-
-def brute_fs(table: GroupTable, char_table, pi) -> int:
-    """(1/|G|) sum over g of chi_pi(g^2), as an element-level sum."""
-    from .cyclo import CycNumber
-
-    n = char_table.n
-    acc: dict[int, int] = {}
-    for g in range(table.n):
-        sq_cls = table.class_of[table.mul(g, g)]
-        for coef, k in char_table._rows[char_table.irrep_index[pi]][sq_cls]:
-            acc[k] = acc.get(k, 0) + coef
-    val = (CycNumber(n, acc) * Fraction(1, table.n)).as_rational()
-    if val is None or val.denominator != 1:
-        raise ArithmeticError("Frobenius-Schur sum is not an integer: table bug")
-    return int(val)
-
-
-def brute_fusion(table: GroupTable, char_table, p1, p2, p3) -> int:
-    """(1/|G|) sum over g of chi1 chi2 chi3 (g), element level."""
-    from .cyclo import CycNumber
-
-    n = char_table.n
-    rows = [char_table._rows[char_table.irrep_index[p]] for p in (p1, p2, p3)]
-    acc: dict[int, int] = {}
-    for g in range(table.n):
-        ci = table.class_of[g]
-        prod = [(1, 0)]
-        for row in rows:
-            monos = row[ci]
-            if not monos:
-                prod = []
-                break
-            prod = [(c1 * c2, (k1 + k2) % n) for c1, k1 in prod for c2, k2 in monos]
-        for coef, k in prod:
-            acc[k] = acc.get(k, 0) + coef
-    val = (CycNumber(n, acc) * Fraction(1, table.n)).as_rational()
-    if val is None or val.denominator != 1:
-        raise ArithmeticError("fusion sum is not an integer: table bug")
-    return int(val)

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclo import CycNumber
-from .grp import ConjClass, Mat, mat_inv, mat_mul
-from .oracle import ClassFunction
+from .grp import ClassFunction, ConjClass, Mat, mat_inv, mat_mul
 from .reptheory import CharacterTable, Irrep
 from .zeta import zeta as zeta_sum, zeta_double, zeta_insert
 
@@ -88,7 +87,7 @@ def hom_count(table: CharacterTable, spec: SurfaceSpec) -> HomCount:
         coef = (fs**g) * Fraction(d) ** (chi - r)
         prod = [(coef, 0)]
         for c in spec.boundaries:
-            monos = table._rows[i][ctx.class_index[c]]
+            monos = table.monomials(pi, c)
             if not monos:
                 prod = []
                 break
@@ -214,20 +213,42 @@ class CentralizerData:
         return induced_char_value(self.table, self.cls, rho, gamma)
 
 
-def _conjugate_counts(table: CharacterTable, host: ConjClass, gamma: ConjClass):
-    """Multiset {x gamma~ x^-1 : x in G} intersected with the centralizer of
-    `host`, as coordinate -> count."""
-    ctx = table.ctx
+def _conjugates(ctx, gamma: ConjClass) -> dict:
+    """Multiset {x gamma~ x^-1 : x in G} for the representative gamma~, as
+    matrix -> count (one pass over G)."""
     F = ctx.field
-    data = CentralizerData(table, host)
     rep = ctx.representative(gamma)
     counts: dict = {}
     for x in ctx.enumerate_group():
         t = mat_mul(F, mat_mul(F, x, rep), mat_inv(F, x))
+        counts[t] = counts.get(t, 0) + 1
+    return counts
+
+
+def _in_centralizer(data: CentralizerData, conjugates: dict) -> dict:
+    """The conjugates that lie in the centralizer, as coordinate -> count."""
+    counts: dict = {}
+    for t, cnt in conjugates.items():
         coords = data.decompose(t)
         if coords is not None:
-            counts[coords] = counts.get(coords, 0) + 1
-    return data, counts
+            counts[coords] = counts.get(coords, 0) + cnt
+    return counts
+
+
+def _conjugate_counts(table: CharacterTable, host: ConjClass, gamma: ConjClass):
+    """Multiset {x gamma~ x^-1 : x in G} intersected with the centralizer of
+    `host`, as coordinate -> count."""
+    data = CentralizerData(table, host)
+    return data, _in_centralizer(data, _conjugates(table.ctx, gamma))
+
+
+def _induced_trace(data: CentralizerData, rho: CentChar, counts: dict) -> CycNumber:
+    """(1/|H|) sum of rho over the conjugates in H, given as coordinate -> count."""
+    acc: dict[int, int] = {}
+    for coords, cnt in counts.items():
+        k = data.char_value_power(rho, coords)
+        acc[k] = acc.get(k, 0) + cnt
+    return CycNumber(data.conductor, acc) * Fraction(1, data.order)
 
 
 def induced_char_value(
@@ -240,15 +261,9 @@ def induced_char_value(
     rho(x gamma x^-1).  Values live in Q(zeta_{p(q^2-1)}).
     """
     data = CentralizerData(table, host)
-    P = data.conductor
     if data.structure == "full":
-        return table.value(rho.irrep, gamma).lift(P)
-    data, counts = _conjugate_counts(table, host, gamma)
-    acc: dict[int, int] = {}
-    for coords, cnt in counts.items():
-        k = data.char_value_power(rho, coords)
-        acc[k] = acc.get(k, 0) + cnt
-    return CycNumber(P, acc) * Fraction(1, data.order)
+        return table.value(rho.irrep, gamma).lift(data.conductor)
+    return _induced_trace(data, rho, _in_centralizer(data, _conjugates(table.ctx, gamma)))
 
 
 # -- quotient counts -------------------------------------------------------------
@@ -292,28 +307,21 @@ def quotient_count(table: CharacterTable, spec: SurfaceSpec) -> HomCount:
     weight = Fraction(1, order ** (r + 1))
     for c in spec.boundaries:
         weight *= ctx.sizes[ctx.class_index[c]]
+    conjugates = {gamma: _conjugates(ctx, gamma) for gamma in spec.boundaries}
     total = CycNumber.zero(P)
     for host_i, host in enumerate(ctx.classes):
         data = CentralizerData(table, host)
+        chars = data.characters()
         gamma_traces = []
         for gamma in spec.boundaries:
             if data.structure == "full":
-                traces = {
-                    rho_i: table.value(rho.irrep, gamma).lift(P)
-                    for rho_i, rho in enumerate(data.characters())
-                }
+                traces = [table.value(rho.irrep, gamma).lift(P) for rho in chars]
             else:
-                d2, counts = _conjugate_counts(table, host, gamma)
-                traces = {}
-                for rho_i, rho in enumerate(data.characters()):
-                    acc: dict[int, int] = {}
-                    for coords, cnt in counts.items():
-                        k = d2.char_value_power(rho, coords)
-                        acc[k] = acc.get(k, 0) + cnt
-                    traces[rho_i] = CycNumber(P, acc) * Fraction(1, data.order)
+                counts = _in_centralizer(data, conjugates[gamma])
+                traces = [_induced_trace(data, rho, counts) for rho in chars]
             gamma_traces.append(traces)
         csum = CycNumber.zero(P)
-        for rho_i, rho in enumerate(data.characters()):
+        for rho_i, rho in enumerate(chars):
             dim = data.char_dim(rho)
             if spec.orientable:
                 coef = Fraction(dim) ** (-(2 * g - 2 + r))

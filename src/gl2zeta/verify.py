@@ -28,14 +28,7 @@ from .chars import enumerate_N
 from .cyclo import CycNumber
 from .ffield import CapExceeded
 from .grp import GLContext, PGLContext, mat_mul
-from .oracle import (
-    DEFAULT_ELEMENT_CAP,
-    GroupTable,
-    brute_fs,
-    brute_fusion,
-    brute_hom_count,
-    brute_quotient_count,
-)
+from .oracle import DEFAULT_ELEMENT_CAP, GroupTable, brute_hom_count, brute_quotient_count
 from .reptheory import CharacterTable
 from .topo import SurfaceSpec, hom_count, quotient_count
 
@@ -266,6 +259,45 @@ def check_burnside_dims(s: _Session) -> str:
     for T in s.tables():
         assert sum(d * d for d in T.dims) == T.ctx.order
     return "sum of dim^2 = |G|"
+
+
+def _element_average(char_table, table: GroupTable, monos_per_element, what: str) -> int:
+    """(1/|G|) times the sum of one character-value monomial list per element."""
+    acc: dict[int, int] = {}
+    for monos in monos_per_element:
+        for coef, k in monos:
+            acc[k] = acc.get(k, 0) + coef
+    val = (CycNumber(char_table.n, acc) * Fraction(1, table.n)).as_rational()
+    if val is None or val.denominator != 1:
+        raise ArithmeticError(f"{what} sum is not an integer: table bug")
+    return int(val)
+
+
+def brute_fs(table: GroupTable, char_table, pi) -> int:
+    """(1/|G|) sum over g of chi_pi(g^2), as an element-level sum (each
+    element squared once)."""
+    classes = table.ctx.classes
+    return _element_average(
+        char_table,
+        table,
+        (char_table.monomials(pi, classes[table.class_of[s]]) for s in table.squares()),
+        "Frobenius-Schur",
+    )
+
+
+def brute_fusion(table: GroupTable, char_table, p1, p2, p3) -> int:
+    """(1/|G|) sum over g of chi1 chi2 chi3 (g), element level."""
+    n = char_table.n
+    per_class = []
+    for c in table.ctx.classes:
+        prod = [(1, 0)]
+        for pi in (p1, p2, p3):
+            monos = char_table.monomials(pi, c)
+            prod = [(c1 * c2, (k1 + k2) % n) for c1, k1 in prod for c2, k2 in monos]
+        per_class.append(prod)
+    return _element_average(
+        char_table, table, (per_class[ci] for ci in table.class_of), "fusion"
+    )
 
 
 @_check("frobenius-schur-rules-vs-defining-sum")

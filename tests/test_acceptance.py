@@ -16,8 +16,9 @@ import pytest
 from conftest import char_table, group_table
 from gl2zeta.cyclo import CycNumber
 from gl2zeta.grp import mat_det
-from gl2zeta.oracle import brute_fusion, brute_hom_count, brute_quotient_count
+from gl2zeta.oracle import brute_hom_count, brute_quotient_count
 from gl2zeta.topo import SurfaceSpec, hom_count, quotient_count
+from gl2zeta.verify import brute_fusion
 from gl2zeta.zeta import (
     zeta,
     zeta_closed_gl,

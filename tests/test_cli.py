@@ -107,18 +107,13 @@ def test_count_quotient_with_insert(capsys):
     assert json.loads(out)["verdict"] == "MATCH"
 
 
-def test_count_cache(tmp_path, capsys):
-    cache = str(tmp_path / "thetas")
-    code, out1 = run(capsys, "count", "--group", "gl2", "--q", "2", "--genus", "3",
-                     "--orientable", "--oracle", "--cache", cache, "--format", "json")
-    assert code == 0
-    cached = json.loads((tmp_path / "thetas" / "theta-gl-q2-torus.json").read_text())
-    assert cached["schema"] == "mednykh-zeta/1"
-    assert all(isinstance(v, str) for v in cached["values"].values())
-    code, out2 = run(capsys, "count", "--group", "gl2", "--q", "2", "--genus", "3",
-                     "--orientable", "--oracle", "--cache", cache, "--format", "json")
-    assert code == 0
-    assert json.loads(out1)["value"] == json.loads(out2)["value"]
+def test_retired_jobs_option_is_a_usage_error(capsys):
+    code = main(["count", "--q", "2", "--genus", "1", "--orientable", "--oracle",
+                 "--jobs", "2"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_fusion_triple(capsys):

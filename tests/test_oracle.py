@@ -1,15 +1,14 @@
 import pytest
 
-from conftest import context, group_table
+from conftest import char_table, group_table
 from gl2zeta.ffield import CapExceeded
 from gl2zeta.oracle import (
     GroupTable,
     brute_hom_count,
     brute_quotient_count,
-    compute_theta,
     _enumerate_hom_tuples,
 )
-from gl2zeta.topo import SurfaceSpec
+from gl2zeta.topo import SurfaceSpec, quotient_count
 
 
 def identity_class(table):
@@ -132,19 +131,53 @@ def test_group_table_cap():
         GroupTable(GLContext(7), cap=100)
 
 
-def test_parallel_theta_matches_serial():
-    ctx = context("gl", 3)
-    serial = GroupTable(ctx).theta_torus()
-    parallel_table = GroupTable(ctx)
-    par = compute_theta(parallel_table, "torus", jobs=2)
-    assert par == serial
-    sq = compute_theta(GroupTable(ctx), "square", jobs=2)
-    assert sq == GroupTable(ctx).theta_square()
-
-
 def test_classfunction_requires_full_cover():
     from gl2zeta.oracle import ClassFunction
 
     G = group_table("gl", 2)
     with pytest.raises(ValueError):
         ClassFunction(G.ctx, [1])
+
+
+def pair_reference(G):
+    """theta_torus, theta_square and the structure constants from their
+    definitions: every pair (a, b) is enumerated and each class total is
+    divided by the class size."""
+    n, cls, sizes = G.n, G.class_of, G.ctx.sizes
+    ncls = len(sizes)
+    torus, square = [0] * ncls, [0] * ncls
+    K = [[[0] * ncls for _ in range(ncls)] for _ in range(ncls)]
+    for a in range(n):
+        square[cls[G.mul(a, a)]] += 1
+        for b in range(n):
+            ab = G.mul(a, b)
+            torus[cls[G.mul(ab, G.inv[G.mul(b, a)])]] += 1
+            K[cls[a]][cls[b]][cls[ab]] += 1
+
+    def per_rep(totals):
+        assert all(t % s == 0 for t, s in zip(totals, sizes))
+        return [t // s for t, s in zip(totals, sizes)]
+
+    K = [[per_rep(K[A][B]) for B in range(ncls)] for A in range(ncls)]
+    return per_rep(torus), per_rep(square), K
+
+
+@pytest.mark.parametrize(
+    "g,q", [("gl", 2), ("gl", 3), ("gl", 4), ("pgl", 2), ("pgl", 3), ("pgl", 4), ("pgl", 5)]
+)
+def test_oracle_matches_pair_enumeration(g, q):
+    G = group_table(g, q)
+    torus, square, K = pair_reference(G)
+    assert G.theta_torus().values == torus
+    assert G.theta_square().values == square
+    assert G._structure_constants() == K
+
+
+@pytest.mark.parametrize("orientable", [True, False])
+def test_boundary_quotient_vs_burnside_q5(orientable):
+    T = char_table("gl", 5)
+    G = group_table("gl", 5)
+    for kind in ("central", "unipotent", "diagonal", "elliptic"):
+        c = next(c for c in T.ctx.classes if c.kind == kind)
+        spec = SurfaceSpec(orientable, 1, (c,))
+        assert quotient_count(T, spec).value == brute_quotient_count(G, spec, "burnside")

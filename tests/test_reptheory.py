@@ -6,7 +6,7 @@ import pytest
 from conftest import char_table, group_table
 from gl2zeta.cyclo import CycNumber
 from gl2zeta.grp import ConjClass
-from gl2zeta.oracle import brute_fs, brute_fusion
+from gl2zeta.verify import brute_fs, brute_fusion
 from gl2zeta.reptheory import Irrep
 
 ALL_Q = [2, 3, 4, 5, 7, 8, 9]
