@@ -120,13 +120,6 @@ def epsilon_E_value(ext: ExtField, lam: int) -> int:
     return 1 if ext.is_square(lam) else -1
 
 
-def conj_char(nu: MulChar, ext: ExtField) -> MulChar:
-    """nu composed with the Frobenius (equals nu^q)."""
-    if nu.order != ext.order - 1:
-        raise ValueError("Galois conjugation acts on extension characters")
-    return MulChar(nu.order, nu.exponent * ext.q)
-
-
 def enumerate_M(ext: ExtField) -> list[CharOrbit]:
     """Orbits {mu, mu^-1} of base characters, mu^2 != 1."""
     n = ext.q - 1

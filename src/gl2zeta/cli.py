@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage error, 2 verification mismatch,
-3 enumeration cap exceeded.
+Exit codes: 0 success, 1 usage error (including arguments outside a
+formula's domain), 2 verification mismatch, 3 enumeration cap exceeded.
 
 Field elements on the command line are addressed by discrete log against
 the canonical primitive root (g for F_q, G for the quadratic extension).
@@ -22,6 +22,7 @@ with A, B exponents mod q-1 and AE an exponent mod q^2-1.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 from fractions import Fraction
@@ -39,7 +40,7 @@ from .zeta import (
     zeta_insert_closed,
 )
 from .cyclo import CycNumber
-from .ffield import CapExceeded, FieldError
+from .ffield import CapExceeded
 from .grp import ConjClass, GLContext, PGLContext
 from .oracle import GroupTable, brute_hom_count, brute_quotient_count
 from .reptheory import CharacterTable, Irrep
@@ -50,10 +51,6 @@ SCHEMA = "mednykh-zeta/1"
 
 
 class UsageError(ValueError):
-    pass
-
-
-class MismatchError(RuntimeError):
     pass
 
 
@@ -166,9 +163,12 @@ def irrep_label(table: CharacterTable, pi: Irrep) -> str:
 def parse_s(text: str):
     for conv in (int, float, complex):
         try:
-            return conv(text)
+            s = conv(text)
         except ValueError:
             continue
+        if conv is not int and not cmath.isfinite(s):
+            raise UsageError(f"s = {text!r} is not finite")
+        return s
     raise UsageError(f"cannot parse s = {text!r}")
 
 
@@ -281,7 +281,7 @@ def cmd_zeta(args) -> int:
     if mode == "both":
         a, b = generic(), closed()
         if isinstance(a, complex) or isinstance(b, complex):
-            diff = abs(complex(a) if not isinstance(a, complex) else a - b)
+            diff = abs(complex(a) - complex(b))
             ok = diff < 1e-9
             doc["difference"] = {"float": [diff, 0.0]}
         else:
@@ -539,18 +539,14 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FieldError as exc:
+    except (ValueError, OverflowError) as exc:
+        # usage errors, field errors, library ValueErrors (ClosedFormUnavailable,
+        # an out-of-range genus) and float s too large in magnitude
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except MismatchError as exc:
-        print(f"mismatch: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -5,9 +5,11 @@ F_p, constant coefficient first: x = c0 + c1*p + ... + c_{e-1}*p^(e-1).
 Elements of the extension are ints in [0, q^2) encoding a + b*delta
 (q odd) or a + b*omega (q even) as a*q + b.
 
-All multiplicative structure is precomputed once per context (exp/dlog
-tables), after which every operation is O(1).  Contexts are immutable
-after construction and safe to share between threads.
+All arithmetic is precomputed once per context: exp/dlog tables for
+multiplication and, for e > 1, a Zech-logarithm table for addition,
+zech[k] = dlog(1 + g^k), so that g^a + g^b = g^(a + zech[b - a]).  After
+construction every operation is O(1).  Contexts are immutable after
+construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -161,6 +163,11 @@ class Field:
         for i, x in enumerate(exp):
             dlog[x] = i
         self._dlog = dlog
+        if e > 1:
+            # zech[k] = dlog(1 + g^k), None where 1 + g^k = 0; adding 1 to a
+            # coefficient vector changes only its constant coefficient x mod p
+            one_plus = [x - x % p + (x + 1) % p for x in exp]
+            self._zech = [dlog[t] if t else None for t in one_plus]
 
     # -- encoding ------------------------------------------------------
 
@@ -229,12 +236,19 @@ class Field:
     def add(self, x: int, y: int) -> int:
         if self.e == 1:
             return (x + y) % self.p
-        return self.encode((a + b) % self.p for a, b in zip(self.coeffs(x), self.coeffs(y)))
+        if x == 0 or y == 0:
+            return x + y
+        a = self._dlog[x]
+        z = self._zech[(self._dlog[y] - a) % (self.q - 1)]
+        return 0 if z is None else self._exp[(a + z) % (self.q - 1)]
 
     def neg(self, x: int) -> int:
         if self.e == 1:
             return (-x) % self.p
-        return self.encode((-a) % self.p for a in self.coeffs(x))
+        if x == 0 or self.p == 2:
+            return x
+        # -1 = g^((q-1)/2) for odd p
+        return self._exp[(self._dlog[x] + (self.q - 1) // 2) % (self.q - 1)]
 
     def sub(self, x: int, y: int) -> int:
         return self.add(x, self.neg(y))
@@ -322,7 +336,6 @@ class ExtField:
             self.artin_c = self._smallest_outside_artin_schreier()
         self.delta = self.pack(0, 1)
         self.G = self._find_primitive_root()
-        self.norm_exponent = 1  # N(G) = g^1 by construction
         exp = [self.pack(1, 0)]
         for _ in range(self.order - 2):
             exp.append(self._mul_raw(exp[-1], self.G))
@@ -349,12 +362,6 @@ class ExtField:
 
     def in_base(self, lam: int) -> bool:
         return lam % self.q == 0
-
-    def to_base(self, lam: int) -> int:
-        a, b = self.unpack(lam)
-        if b:
-            raise FieldError("element is not in the base field")
-        return a
 
     def element_key(self, lam: int):
         a, b = self.unpack(lam)

@@ -20,10 +20,6 @@ Mat = tuple  # (a, b, c, d)
 # -- matrix helpers ---------------------------------------------------------
 
 
-def mat_id(F: Field) -> Mat:
-    return (1, 0, 0, 1)
-
-
 def mat_mul(F: Field, m: Mat, n: Mat) -> Mat:
     a, b, c, d = m
     e, f, g, h = n

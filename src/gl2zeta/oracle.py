@@ -12,14 +12,22 @@ structure constants are read off one column x -> x r per probed element r
 a class function), so the cost is O(|G| * #classes) matrix products.
 Hom-set counts are assembled as exact integer convolutions of those class
 functions, so genus and boundary count are free.
+
+Only the explicit-orbit quotient count (tiny cases) needs the full Cayley
+table.  It is composed from the rows of a few generators: |G| * #gens matrix
+products (#gens is 2-4 for GL with q <= 8) and |G|^2 integer lookups.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .ffield import CapExceeded
 from .grp import ClassFunction, ConjClass, mat_inv, mat_mul
 
-DEFAULT_ELEMENT_CAP = 1200
+DEFAULT_ELEMENT_CAP = 4000
+# the explicit-orbit path holds the |G|^2 Cayley table; --deep does not raise this
+CAYLEY_TABLE_CAP = 4000
 
 
 class GroupTable:
@@ -54,7 +62,6 @@ class GroupTable:
             if len(self._probes[ci]) < 2:
                 self._probes[ci].append(x)
         self.reps = [probes[0] for probes in self._probes]
-        self._mul_rows: dict[int, list[int]] = {}
         self._columns: dict[int, list[int]] = {}
         self._centralizers: dict[int, tuple] = {}
         self._squares: list[int] | None = None
@@ -67,12 +74,33 @@ class GroupTable:
         return self.index[self._normalize(mat_mul(F, self.elements[i], self.elements[j]))]
 
     def mul(self, i: int, j: int) -> int:
-        """Product through a lazily built full row of i (explicit-orbit path)."""
-        row = self._mul_rows.get(i)
-        if row is None:
-            row = [self.product(i, j) for j in range(self.n)]
-            self._mul_rows[i] = row
-        return row[j]
+        """Product through the full Cayley table (explicit-orbit path)."""
+        return self.cayley_rows[i][j]
+
+    @cached_property
+    def cayley_rows(self) -> list[list[int]]:
+        """Row i is x -> index of elements[i] * x.  Generators are picked
+        greedily in enumeration order, each outside the subgroup generated so
+        far, at |G| products apiece; closing the subgroup under left
+        multiplication composes every other row, row(s c) = row(s) o row(c)."""
+        n = self.n
+        rows: list = [None] * n
+        rows[self.identity] = list(range(n))
+        gens: list[int] = []
+        reached = [self.identity]
+        for x in range(n):
+            if rows[x] is not None:
+                continue
+            rows[x] = [self.product(x, j) for j in range(n)]
+            gens.append(x)
+            reached.append(x)
+            for c in reached:  # grows while it is walked
+                for s in gens:
+                    y = rows[s][c]
+                    if rows[y] is None:
+                        rows[y] = list(map(rows[s].__getitem__, rows[c]))
+                        reached.append(y)
+        return rows
 
     def column(self, r: int) -> list[int]:
         """x -> index of x * elements[r], for every x; memoised per r."""
@@ -143,9 +171,7 @@ class GroupTable:
         return ClassFunction(self.ctx, self._theta["square"])
 
     def delta_identity(self) -> ClassFunction:
-        values = [0] * len(self.ctx.classes)
-        values[self.class_of[self.identity]] = 1
-        return ClassFunction(self.ctx, values)
+        return self.class_indicator(self.ctx.classes[self.class_of[self.identity]])
 
     def class_indicator(self, c: ConjClass) -> ClassFunction:
         values = [0] * len(self.ctx.classes)
@@ -286,6 +312,8 @@ def brute_quotient_count(table: GroupTable, spec, method: str = "burnside") -> i
 
 
 def _orbit_quotient_count(table: GroupTable, spec) -> int:
+    if table.n > CAYLEY_TABLE_CAP:
+        raise CapExceeded(f"orbit enumeration needs |G| <= {CAYLEY_TABLE_CAP}, not {table.n}")
     tuples = _enumerate_hom_tuples(table, spec)
     seen: set[tuple] = set()
     orbits = 0

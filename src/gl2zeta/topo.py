@@ -208,10 +208,6 @@ class CentralizerData:
             return (m * E.dlog(coords) * p) % P
         raise ValueError("full-group characters are not monomial")
 
-    def induced_trace(self, rho: CentChar, gamma: ConjClass) -> CycNumber:
-        """Tr(Ind_H^G rho)(gamma), computed by enumeration over G."""
-        return induced_char_value(self.table, self.cls, rho, gamma)
-
 
 def _conjugates(ctx, gamma: ConjClass) -> dict:
     """Multiset {x gamma~ x^-1 : x in G} for the representative gamma~, as

@@ -163,7 +163,8 @@ def test_exit_code_usage_errors(capsys):
 
 
 def test_exit_code_cap(capsys):
-    assert main(["count", "--group", "gl2", "--q", "7", "--genus", "1",
+    # |GL(2,9)| = 5760 exceeds the default element cap of 4000
+    assert main(["count", "--group", "gl2", "--q", "9", "--genus", "1",
                  "--orientable", "--oracle"]) == 3
     capsys.readouterr()
 
@@ -173,3 +174,43 @@ def test_classspec_projection_for_pgl(capsys):
                     "--insert", "c1:1", "--format", "json")
     assert code == 0
     assert json.loads(out)["insertions"] == ["c1:0"]  # central -> identity
+
+
+def one_line_error(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    return code
+
+
+def test_non_finite_s_is_a_usage_error(capsys):
+    assert one_line_error(capsys, "zeta", "--q", "5", "--s", "1e400",
+                          "--format", "json") == 1
+    assert one_line_error(capsys, "zeta", "--q", "5", "--s", "nan", "--both") == 1
+    assert one_line_error(capsys, "zeta", "--q", "5", "--s", "1e400j") == 1
+
+
+def test_float_s_overflow_is_a_usage_error(capsys):
+    assert one_line_error(capsys, "zeta", "--q", "5", "--s", "-1000.5") == 1
+
+
+def test_library_value_errors_exit_one(capsys):
+    assert one_line_error(capsys, "count", "--q", "3", "--genus", "-1",
+                          "--orientable") == 1
+    assert one_line_error(capsys, "count", "--group", "pgl2", "--q", "3", "--genus",
+                          "1", "--orientable", "--quotient") == 1
+    # ClosedFormUnavailable
+    assert one_line_error(capsys, "zeta", "--group", "pgl2", "--q", "5", "--s", "0",
+                          "--insert", "c1:0", "--both") == 1
+
+
+def test_both_difference_when_only_closed_form_is_complex(capsys, monkeypatch):
+    import gl2zeta.cli as cli
+
+    exact = cli.zeta_closed_gl
+    monkeypatch.setattr(cli, "zeta_closed_gl", lambda q, s: complex(exact(q, s)))
+    code, out = run(capsys, "zeta", "--q", "3", "--s", "2", "--both", "--format", "json")
+    doc = json.loads(out)
+    assert code == 0 and doc["match"] is True
+    assert doc["difference"] == {"float": [0.0, 0.0]}

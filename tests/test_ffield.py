@@ -167,3 +167,36 @@ def test_canonical_element_order_is_lexicographic():
     F = build_field(2, 2)
     keys = [F.element_key(x) for x in F.elements()]
     assert keys == sorted(keys)
+
+
+def coeff_add(F, x, y):
+    """Addition from its definition: coefficient vectors added mod p."""
+    return F.encode((a + b) % F.p for a, b in zip(F.coeffs(x), F.coeffs(y)))
+
+
+def coeff_neg(F, x):
+    return F.encode((-a) % F.p for a in F.coeffs(x))
+
+
+@pytest.mark.parametrize(
+    "p,e", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 5), (7, 2), (2, 6)]
+)
+def test_zech_addition_matches_coefficient_vectors(p, e):
+    F = build_field(p, e)
+    for x in range(F.q):
+        assert F.neg(x) == coeff_neg(F, x)
+        assert F.add(x, F.neg(x)) == 0
+        for y in range(F.q):
+            assert F.add(x, y) == coeff_add(F, x, y)
+            assert F.sub(x, y) == coeff_add(F, x, coeff_neg(F, y))
+
+
+@pytest.mark.parametrize("p,e", [(2, 2), (3, 2)])
+def test_extension_addition_matches_coefficient_vectors(p, e):
+    F = build_field(p, e)
+    E = build_extension(F)
+    for l1 in E.elements():
+        a1, b1 = E.unpack(l1)
+        for l2 in E.elements():
+            a2, b2 = E.unpack(l2)
+            assert E.add(l1, l2) == E.pack(coeff_add(F, a1, a2), coeff_add(F, b1, b2))

@@ -1,6 +1,8 @@
+from itertools import permutations
+
 import pytest
 
-from conftest import char_table, group_table
+from conftest import char_table, context, group_table
 from gl2zeta.ffield import CapExceeded
 from gl2zeta.oracle import (
     GroupTable,
@@ -181,3 +183,50 @@ def test_boundary_quotient_vs_burnside_q5(orientable):
         c = next(c for c in T.ctx.classes if c.kind == kind)
         spec = SurfaceSpec(orientable, 1, (c,))
         assert quotient_count(T, spec).value == brute_quotient_count(G, spec, "burnside")
+
+
+@pytest.mark.parametrize(
+    "g,q", [("gl", 2), ("gl", 3), ("gl", 4), ("pgl", 3), ("pgl", 4), ("pgl", 5)]
+)
+def test_composed_cayley_table_matches_products(g, q):
+    G = GroupTable(context(g, q))
+    for i in range(G.n):
+        for j in range(G.n):
+            assert G.mul(i, j) == G.product(i, j)
+
+
+@pytest.mark.parametrize("q", [4, 5])
+def test_cayley_table_uses_few_products(q):
+    G = GroupTable(context("gl", q))
+    calls = 0
+    product = G.product
+
+    def counting_product(i, j):
+        nonlocal calls
+        calls += 1
+        return product(i, j)
+
+    G.product = counting_product
+    for i in range(G.n):
+        G.mul(i, 0)
+    assert calls <= 4 * G.n
+
+
+def test_triple_bracket_is_symmetric():
+    T = char_table("gl", 3)
+    irr = T.irreps
+    for i in range(len(irr)):
+        for j in range(i, len(irr)):
+            for k in range(j, len(irr)):
+                want = T.triple_bracket(irr[i], irr[j], irr[k])
+                for a, b, c in permutations((irr[i], irr[j], irr[k])):
+                    assert T.triple_bracket(a, b, c) == want
+
+
+def test_orbit_method_caps_cayley_table():
+    from gl2zeta.oracle import CAYLEY_TABLE_CAP
+
+    G = GroupTable(context("gl", 9), cap=10_000)
+    assert G.n > CAYLEY_TABLE_CAP
+    with pytest.raises(CapExceeded):
+        brute_quotient_count(G, SurfaceSpec(False, 1), "orbits")
