@@ -3,7 +3,7 @@ for GL(2,F_q) and PGL(2,F_q), with a brute-force enumeration oracle."""
 
 from .cyclo import CycNumber, Rational, cyclotomic_polynomial, root_of_unity
 from .ffield import CapExceeded, ExtField, Field, FieldError, build_extension, build_field, prime_power
-from .grp import ClassFunction, ConjClass, GLContext, PGLContext, make_context
+from .grp import ClassFunction, ConjClass, GLContext, PGLContext
 from .oracle import GroupTable, brute_hom_count, brute_quotient_count
 from .reptheory import CharacterTable, Irrep
 from .topo import HomCount, SurfaceSpec, hom_count, induced_char_value, quotient_count
@@ -49,7 +49,6 @@ __all__ = [
     "cyclotomic_polynomial",
     "hom_count",
     "induced_char_value",
-    "make_context",
     "prime_power",
     "quotient_count",
     "root_of_unity",

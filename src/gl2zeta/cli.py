@@ -55,7 +55,7 @@ class UsageError(ValueError):
 
 
 def _dumps(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def ser_exact(v):
@@ -116,7 +116,7 @@ def parse_classspec(ctx, spec: str) -> ConjClass:
         lam = E.from_dlog(args[0])
         if E.in_base(lam):
             raise UsageError(f"c4 parameter G^{args[0]} lies in the base field")
-        c = glctx.classify(glctx._elliptic_rep(lam))
+        c = glctx.classify(glctx.elliptic_rep(lam))
     else:
         raise UsageError(f"malformed class spec {spec!r}")
     if ctx.group == "pgl":
@@ -274,12 +274,16 @@ def cmd_zeta(args) -> int:
         "insertions": [ctx.class_label(c) for c in insertions],
     }
     exit_code = 0
-    if mode in ("generic", "both"):
-        doc["generic"] = ser_exact(generic())
-    if mode in ("closed-form", "both"):
-        doc["closed_form"] = ser_exact(closed())
+    a = generic() if mode in ("generic", "both") else None
+    b = closed() if mode in ("closed-form", "both") else None
+    for v in (a, b):
+        if isinstance(v, complex) and not cmath.isfinite(v):
+            raise OverflowError(f"zeta at s = {args.s} is not a finite float")
+    if a is not None:
+        doc["generic"] = ser_exact(a)
+    if b is not None:
+        doc["closed_form"] = ser_exact(b)
     if mode == "both":
-        a, b = generic(), closed()
         if isinstance(a, complex) or isinstance(b, complex):
             diff = abs(complex(a) - complex(b))
             ok = diff < 1e-9
@@ -516,7 +520,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("fusion", help="fusion coefficients (GL context)")
     sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--format", choices=["ascii", "json", "csv"], default="ascii")
+    sp.add_argument("--format", choices=["ascii", "json"], default="ascii")
     fg = sp.add_mutually_exclusive_group(required=True)
     fg.add_argument("--triple", nargs=3, metavar="IRREPSPEC")
     fg.add_argument("--all", action="store_true")

@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-DEFAULT_Q_CAP = 1 << 20
+Q_CAP = 1 << 20
 
 
 class FieldError(ValueError):
@@ -139,14 +139,14 @@ def _is_irreducible(f: list[int], p: int) -> bool:
 class Field:
     """The finite field F_q with q = p^e."""
 
-    def __init__(self, p: int, e: int = 1, cap: int = DEFAULT_Q_CAP):
+    def __init__(self, p: int, e: int = 1):
         if not is_prime(p):
             raise FieldError(f"p = {p} is not prime")
         if e < 1:
             raise FieldError(f"exponent e = {e} must be >= 1")
         q = p**e
-        if q > cap:
-            raise CapExceeded(f"q = {q} exceeds the field cap {cap}")
+        if q > Q_CAP:
+            raise CapExceeded(f"q = {q} exceeds the field cap {Q_CAP}")
         self.p = p
         self.e = e
         self.q = q
@@ -321,11 +321,11 @@ class ExtField:
     reduction of exponents mod q-1.
     """
 
-    def __init__(self, base: Field, cap: int = DEFAULT_Q_CAP):
+    def __init__(self, base: Field):
         self.base = base
         q = base.q
-        if q * q > cap:
-            raise CapExceeded(f"q^2 = {q * q} exceeds the extension cap {cap}")
+        if q * q > Q_CAP:
+            raise CapExceeded(f"q^2 = {q * q} exceeds the extension cap {Q_CAP}")
         self.q = q
         self.order = q * q
         if q % 2:
@@ -501,14 +501,14 @@ class ExtField:
         return f"ExtField(q={self.q})"
 
 
-def build_field(p: int, e: int = 1, cap: int = DEFAULT_Q_CAP) -> Field:
+def build_field(p: int, e: int = 1) -> Field:
     """Construct F_q for q = p^e (deterministic canonical choices)."""
-    return Field(p, e, cap=cap)
+    return Field(p, e)
 
 
-def build_extension(field: Field, cap: int = DEFAULT_Q_CAP) -> ExtField:
+def build_extension(field: Field) -> ExtField:
     """Construct F_{q^2} over an existing F_q context."""
-    return ExtField(field, cap=cap)
+    return ExtField(field)
 
 
 @lru_cache(maxsize=None)

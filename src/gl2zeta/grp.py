@@ -9,10 +9,11 @@ first nonzero entry equals 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .ffield import CapExceeded, Field, FieldError, build_extension, build_field, prime_power
 
-DEFAULT_GROUP_CAP = 1 << 17
+GROUP_CAP = 1 << 17
 
 Mat = tuple  # (a, b, c, d)
 
@@ -103,13 +104,12 @@ class GLContext:
 
     group = "gl"
 
-    def __init__(self, q: int, cap: int = DEFAULT_GROUP_CAP):
+    def __init__(self, q: int):
         p, e = prime_power(q)
         self.field = build_field(p, e)
         self.ext = build_extension(self.field)
         self.q = q
         self.order = q * (q - 1) ** 2 * (q + 1)
-        self.cap = cap
         self._build_classes()
         self._build_classify_tables()
 
@@ -142,7 +142,7 @@ class GLContext:
                 continue
             classes.append(ConjClass("gl", "elliptic", (lam,)))
             sizes.append(q * (q - 1))
-            reps.append(self._elliptic_rep(lam))
+            reps.append(self.elliptic_rep(lam))
         assert len(classes) == q * q - 1
         assert sum(sizes) == self.order
         self.classes = classes
@@ -150,7 +150,8 @@ class GLContext:
         self.reps = reps
         self.class_index = {c: i for i, c in enumerate(classes)}
 
-    def _elliptic_rep(self, lam: int) -> Mat:
+    def elliptic_rep(self, lam: int) -> Mat:
+        """The companion matrix of lam's minimal polynomial over F_q."""
         F, E = self.field, self.ext
         return (0, F.neg(E.norm(lam)), 1, E.trace(lam))
 
@@ -210,25 +211,12 @@ class GLContext:
             return Centralizer(c, "nonsplit-torus", q * q - 1)
         raise ValueError(f"not a GL class: {c}")
 
-    def enumerate_group(self, start: int = 0, stop: int | None = None):
-        """Invertible matrices in a fixed order (raw-code lexicographic).
-
-        start/stop index the raw q^4 coordinate grid, so disjoint ranges
-        partition the group for data-parallel consumers.
-        """
-        if self.order > self.cap:
-            raise CapExceeded(f"|GL(2,F_{self.q})| = {self.order} exceeds cap {self.cap}")
+    def enumerate_group(self):
+        """Invertible matrices in a fixed order (raw-code lexicographic)."""
+        if self.order > GROUP_CAP:
+            raise CapExceeded(f"|GL(2,F_{self.q})| = {self.order} exceeds cap {GROUP_CAP}")
         F, q = self.field, self.q
-        if stop is None:
-            stop = q**4
-        for idx in range(start, stop):
-            d = idx % q
-            rest = idx // q
-            c = rest % q
-            rest //= q
-            b = rest % q
-            a = rest // q
-            m = (a, b, c, d)
+        for m in product(range(q), repeat=4):
             if mat_det(F, m) != 0:
                 yield m
 
@@ -248,13 +236,12 @@ class PGLContext:
 
     group = "pgl"
 
-    def __init__(self, q: int, cap: int = DEFAULT_GROUP_CAP):
-        self.gl = GLContext(q, cap=cap)
+    def __init__(self, q: int):
+        self.gl = GLContext(q)
         self.field = self.gl.field
         self.ext = self.gl.ext
         self.q = q
         self.order = q * (q - 1) * (q + 1)
-        self.cap = cap
         self._build_classes()
 
     def _build_classes(self):
@@ -284,7 +271,7 @@ class PGLContext:
                 sizes.append(q * (q - 1) // 2)
             else:
                 sizes.append(q * (q - 1))
-            reps.append(self.gl._elliptic_rep(lam))
+            reps.append(self.gl.elliptic_rep(lam))
         assert sum(sizes) == self.order, (sizes, self.order)
         expected = q + 2 if q % 2 else q + 1
         assert len(classes) == expected
@@ -360,11 +347,11 @@ class PGLContext:
     def class_size(self, c: ConjClass) -> int:
         return self.sizes[self.class_index[c]]
 
-    def enumerate_group(self, start: int = 0, stop: int | None = None):
-        """Canonical lifts in GL enumeration order (supports range partition)."""
-        if self.order > self.cap:
-            raise CapExceeded(f"|PGL(2,F_{self.q})| = {self.order} exceeds cap {self.cap}")
-        for m in self.gl.enumerate_group(start, stop):
+    def enumerate_group(self):
+        """Canonical lifts in GL enumeration order."""
+        if self.order > GROUP_CAP:
+            raise CapExceeded(f"|PGL(2,F_{self.q})| = {self.order} exceeds cap {GROUP_CAP}")
+        for m in self.gl.enumerate_group():
             first = next(x for x in m if x)
             if first == 1:
                 yield m
@@ -378,11 +365,3 @@ class PGLContext:
         if c.kind == "diagonal":
             return f"c3:{F.dlog(c.params[0])}"
         return f"c4:{E.dlog(c.params[0])}"
-
-
-def make_context(group: str, q: int, cap: int = DEFAULT_GROUP_CAP):
-    if group == "gl":
-        return GLContext(q, cap=cap)
-    if group == "pgl":
-        return PGLContext(q, cap=cap)
-    raise ValueError(f"unknown group kind {group!r}")

@@ -4,6 +4,8 @@ tables, Frobenius-Schur indicators, contragredients and fusion coefficients.
 Character values are exact elements of Q(zeta_n), n = q^2 - 1, stored
 internally as short monomial lists (coefficient, power-of-zeta) so the
 large class-weighted sums stay in integer arithmetic until the end.
+Every character-table sum goes through `monomial_sum`; other modules pass
+it `CharacterTable.row`/`column` lists and never look inside a monomial.
 """
 
 from __future__ import annotations
@@ -23,6 +25,28 @@ class Irrep:
     group: str  # "gl" | "pgl"
     kind: str  # linear | principal | steinberg | cuspidal
     params: tuple  # character exponents
+
+
+def monomial_sum(n: int, weights, factor_lists) -> CycNumber:
+    """sum over t of weights[t] * prod over f of factor_lists[f][t], in Q(zeta_n).
+
+    Each factor is a monomial tuple; a zero weight or an empty factor drops
+    term t.  With no factor lists this is the sum of the weights.
+    """
+    acc: dict[int, object] = {}
+    for t, w in enumerate(weights):
+        if not w:
+            continue
+        prod = [(w, 0)]
+        for factors in factor_lists:
+            monos = factors[t]
+            if not monos:
+                break
+            prod = [(c1 * c2, (k1 + k2) % n) for c1, k1 in prod for c2, k2 in monos]
+        else:
+            for coef, k in prod:
+                acc[k] = acc.get(k, 0) + coef
+    return CycNumber(n, acc)
 
 
 def _merge(pairs) -> Monomials:
@@ -168,13 +192,19 @@ class CharacterTable:
             return _merge([(-1, ext_pow(a, lam)), (-1, ext_pow(a, E.frobenius(lam)))])
         raise ValueError(f"unknown irrep kind {kind}")
 
-    def monomials(self, pi: Irrep, c: ConjClass) -> Monomials:
-        return self._rows[self.irrep_index[pi]][self.ctx.class_index[c]]
+    def row(self, pi: Irrep) -> list[Monomials]:
+        """The values of pi on every class, in class order."""
+        return self._rows[self.irrep_index[pi]]
+
+    def column(self, c: ConjClass) -> list[Monomials]:
+        """The values of every irrep on c, in irrep order."""
+        ci = self.ctx.class_index[c]
+        return [row[ci] for row in self._rows]
 
     def value(self, pi: Irrep, c: ConjClass) -> CycNumber:
         if pi.group != self.group or c.group != self.group:
             raise ValueError("irrep/class from a different group context")
-        return CycNumber.from_monomials(self.n, self.monomials(pi, c))
+        return CycNumber.from_monomials(self.n, self.row(pi)[self.ctx.class_index[c]])
 
     # -- Frobenius-Schur ----------------------------------------------------
 
@@ -204,18 +234,11 @@ class CharacterTable:
 
         ctx = self.ctx
         F = ctx.field
-        acc: dict[int, int] = {}
-        row = self._rows[self.irrep_index[pi]]
-        for ci, c in enumerate(ctx.classes):
-            rep = ctx.representative(c)
-            sq_cls = ctx.classify(mat_mul(F, rep, rep))
-            w = ctx.sizes[ci]
-            for coef, k in row[ctx.class_index[sq_cls]]:
-                acc[k] = acc.get(k, 0) + w * coef
-        val = CycNumber(self.n, acc) * Fraction(1, self.order)
-        r = val.as_rational()
-        assert r is not None and r.denominator == 1, "FS sum must be an integer"
-        return int(r)
+        row = self.row(pi)
+        squares = [row[ctx.class_index[ctx.classify(mat_mul(F, m, m))]] for m in ctx.reps]
+        r = monomial_sum(self.n, ctx.sizes, [squares]).as_rational()
+        assert r is not None and r % self.order == 0, "FS sum must be an integer"
+        return int(r) // self.order
 
     # -- duals and tensor twists -------------------------------------------
 
@@ -252,28 +275,10 @@ class CharacterTable:
 
     def _bracket(self, pis) -> Fraction:
         """(1/|G|) sum over g of the product of the (unconjugated) characters."""
-        ctx = self.ctx
-        n = self.n
-        rows = [self._rows[self.irrep_index[pi]] for pi in pis]
-        acc: dict[int, int] = {}
-        for ci in range(len(ctx.classes)):
-            w = ctx.sizes[ci]
-            prod = [(w, 0)]
-            for row in rows:
-                monos = row[ci]
-                if not monos:
-                    prod = []
-                    break
-                prod = [
-                    (c1 * c2, (k1 + k2) % n) for c1, k1 in prod for c2, k2 in monos
-                ]
-            for coef, k in prod:
-                acc[k] = acc.get(k, 0) + coef
-        val = CycNumber(n, acc) * Fraction(1, self.order)
-        r = val.as_rational()
+        r = monomial_sum(self.n, self.ctx.sizes, [self.row(pi) for pi in pis]).as_rational()
         if r is None:
             raise ArithmeticError("character bracket is not rational: table bug")
-        return r
+        return r / self.order
 
     def pair_bracket(self, p1: Irrep, p2: Irrep) -> Fraction:
         return self._bracket((p1, p2))

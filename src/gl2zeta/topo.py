@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .cyclo import CycNumber
 from .grp import ClassFunction, ConjClass, Mat, mat_inv, mat_mul
-from .reptheory import CharacterTable, Irrep
+from .reptheory import CharacterTable, Irrep, monomial_sum
 from .zeta import zeta as zeta_sum, zeta_double, zeta_insert
 
 
@@ -77,24 +77,13 @@ def hom_count(table: CharacterTable, spec: SurfaceSpec) -> HomCount:
     weight = Fraction(order) ** (g - 1)
     for c in spec.boundaries:
         weight *= ctx.sizes[ctx.class_index[c]]
-    n = table.n
-    acc: dict[int, Fraction] = {}
-    for i, pi in enumerate(table.irreps):
-        fs = table.fs_indicator(pi)
-        if fs == 0:
-            continue
-        d = table.dims[i]
-        coef = (fs**g) * Fraction(d) ** (chi - r)
-        prod = [(coef, 0)]
-        for c in spec.boundaries:
-            monos = table.monomials(pi, c)
-            if not monos:
-                prod = []
-                break
-            prod = [(c1 * c2, (k1 + k2) % n) for c1, k1 in prod for c2, k2 in monos]
-        for cf, k in prod:
-            acc[k] = acc.get(k, 0) + cf
-    total = weight * CycNumber(n, acc).as_rational()
+    # irreps with FS indicator 0 drop out; no power is computed for them
+    weights = [
+        fs**g * Fraction(d) ** (chi - r) if fs else 0
+        for fs, d in zip(map(table.fs_indicator, table.irreps), table.dims)
+    ]
+    cols = [table.column(c) for c in spec.boundaries]
+    total = weight * monomial_sum(table.n, weights, cols).as_rational()
     return HomCount(_as_count(total, "hom count"), "raw |X|")
 
 
@@ -126,7 +115,7 @@ class CentralizerData:
         self.conductor = ctx.field.p * table.n  # additive characters need zeta_p
         if self.structure == "nonsplit-torus":
             lam = cls.params[0]
-            self._gen_mat = ctx._elliptic_rep(lam)
+            self._gen_mat = ctx.elliptic_rep(lam)
             self._lam = lam
 
     def characters(self) -> list[CentChar]:
@@ -340,28 +329,20 @@ def quotient_count(table: CharacterTable, spec: SurfaceSpec) -> HomCount:
 
 def theta_torus_spectral(table: CharacterTable) -> ClassFunction:
     """|G| * sum over pi of chi_pi / dim(pi), as exact class-function values."""
-    ctx = table.ctx
-    values = []
-    for c in ctx.classes:
-        acc = CycNumber.zero(table.n)
-        for i, pi in enumerate(table.irreps):
-            acc = acc + table.value(pi, c) * Fraction(table.order, table.dims[i])
-        values.append(_as_count(acc, "theta_torus value"))
-    return ClassFunction(ctx, values)
+    weights = [Fraction(table.order, d) for d in table.dims]
+    return ClassFunction(table.ctx, [
+        _as_count(monomial_sum(table.n, weights, [table.column(c)]), "theta_torus value")
+        for c in table.ctx.classes
+    ])
 
 
 def theta_square_spectral(table: CharacterTable) -> ClassFunction:
     """sum over pi of fs(pi) * chi_pi."""
-    ctx = table.ctx
-    values = []
-    for c in ctx.classes:
-        acc = CycNumber.zero(table.n)
-        for pi in table.irreps:
-            fs = table.fs_indicator(pi)
-            if fs:
-                acc = acc + table.value(pi, c) * fs
-        values.append(_as_count(acc, "theta_square value"))
-    return ClassFunction(ctx, values)
+    weights = [table.fs_indicator(pi) for pi in table.irreps]
+    return ClassFunction(table.ctx, [
+        _as_count(monomial_sum(table.n, weights, [table.column(c)]), "theta_square value")
+        for c in table.ctx.classes
+    ])
 
 
 def class_indicator_spectral(table: CharacterTable, c: ConjClass) -> ClassFunction:
@@ -370,16 +351,14 @@ def class_indicator_spectral(table: CharacterTable, c: ConjClass) -> ClassFuncti
     ctx = table.ctx
     F = ctx.field
     rep = ctx.representative(c)
-    inv_cls = ctx.classify(mat_inv(F, rep))
+    inv_col = table.column(ctx.classify(mat_inv(F, rep)))
     w = Fraction(ctx.sizes[ctx.class_index[c]], table.order)
+    ones = [1] * len(table.irreps)
     values = []
     for d in ctx.classes:
-        acc = CycNumber.zero(table.n)
-        for pi in table.irreps:
-            acc = acc + table.value(pi, inv_cls) * table.value(pi, d)
-        v = (acc * w).as_rational()
-        assert v is not None and v.denominator == 1
-        values.append(int(v))
+        v = monomial_sum(table.n, ones, [inv_col, table.column(d)]).as_rational()
+        assert v is not None and (v * w).denominator == 1
+        values.append(int(v * w))
     return ClassFunction(ctx, values)
 
 

@@ -31,7 +31,7 @@ from .ffield import CapExceeded
 from .grp import GLContext, PGLContext, mat_mul
 from .oracle import CAYLEY_TABLE_CAP, DEFAULT_ELEMENT_CAP, GroupTable
 from .oracle import brute_hom_count, brute_quotient_count
-from .reptheory import CharacterTable
+from .reptheory import CharacterTable, monomial_sum
 from .topo import SurfaceSpec, hom_count, quotient_count
 
 
@@ -224,33 +224,30 @@ def check_involutions(s: _Session) -> str:
     return "t = q^2-1 (q even) / q^2+q+1 (q odd); 1 + t = sum of real-irrep dims"
 
 
+def _conjugate(monomial_lists, n: int) -> list:
+    """Complex conjugates of a list of monomial tuples: zeta^k -> zeta^-k."""
+    return [tuple((c, -k % n) for c, k in monos) for monos in monomial_lists]
+
+
 @_check("character-table-orthogonality")
 def check_orthogonality(s: _Session) -> str:
     for T in s.tables():
         ctx = T.ctx
         n = T.n
+        rows = [T.row(pi) for pi in T.irreps]
+        conj_rows = [_conjugate(row, n) for row in rows]
         nirr = len(T.irreps)
         for i in range(nirr):
             for j in range(i, nirr):
-                acc: dict[int, int] = {}
-                for ci in range(len(ctx.classes)):
-                    w = ctx.sizes[ci]
-                    for c1, k1 in T._rows[i][ci]:
-                        for c2, k2 in T._rows[j][ci]:
-                            k = (k1 - k2) % n
-                            acc[k] = acc.get(k, 0) + w * c1 * c2
-                got = (CycNumber(n, acc) * Fraction(1, T.order)).as_rational()
-                assert got == (1 if i == j else 0)
+                got = monomial_sum(n, ctx.sizes, [rows[i], conj_rows[j]])
+                assert got == (T.order if i == j else 0)
+        cols = [T.column(c) for c in ctx.classes]
+        conj_cols = [_conjugate(col, n) for col in cols]
+        ones = [1] * nirr
         ncls = len(ctx.classes)
         for a in range(ncls):
             for b in range(a, ncls):
-                acc = {}
-                for i in range(nirr):
-                    for c1, k1 in T._rows[i][a]:
-                        for c2, k2 in T._rows[i][b]:
-                            k = (k1 - k2) % n
-                            acc[k] = acc.get(k, 0) + c1 * c2
-                got = CycNumber(n, acc).as_rational()
+                got = monomial_sum(n, ones, [cols[a], conj_cols[b]])
                 want = Fraction(T.order, ctx.sizes[a]) if a == b else 0
                 assert got == want
     return "row and column orthogonality, both groups, exact"
@@ -263,43 +260,29 @@ def check_burnside_dims(s: _Session) -> str:
     return "sum of dim^2 = |G|"
 
 
-def _element_average(char_table, table: GroupTable, monos_per_element, what: str) -> int:
-    """(1/|G|) times the sum of one character-value monomial list per element."""
-    acc: dict[int, int] = {}
-    for monos in monos_per_element:
-        for coef, k in monos:
-            acc[k] = acc.get(k, 0) + coef
-    val = (CycNumber(char_table.n, acc) * Fraction(1, table.n)).as_rational()
-    if val is None or val.denominator != 1:
+def _element_average(char_table, table: GroupTable, counts, rows, what: str) -> int:
+    """(1/|G|) sum over classes of an element count (from the enumeration)
+    times a product of character rows."""
+    val = monomial_sum(char_table.n, counts, rows).as_rational()
+    if val is None or val % table.n:
         raise ArithmeticError(f"{what} sum is not an integer: table bug")
-    return int(val)
+    return int(val) // table.n
 
 
 def brute_fs(table: GroupTable, char_table, pi) -> int:
-    """(1/|G|) sum over g of chi_pi(g^2), as an element-level sum (each
-    element squared once)."""
-    classes = table.ctx.classes
-    return _element_average(
-        char_table,
-        table,
-        (char_table.monomials(pi, classes[table.class_of[s]]) for s in table.squares()),
-        "Frobenius-Schur",
-    )
+    """(1/|G|) sum over g of chi_pi(g^2): each element is squared once and
+    the class of its square read from the enumeration."""
+    counts = [0] * len(table.sizes)
+    for sq in table.squares():
+        counts[table.class_of[sq]] += 1
+    return _element_average(char_table, table, counts, [char_table.row(pi)], "Frobenius-Schur")
 
 
 def brute_fusion(table: GroupTable, char_table, p1, p2, p3) -> int:
-    """(1/|G|) sum over g of chi1 chi2 chi3 (g), element level."""
-    n = char_table.n
-    per_class = []
-    for c in table.ctx.classes:
-        prod = [(1, 0)]
-        for pi in (p1, p2, p3):
-            monos = char_table.monomials(pi, c)
-            prod = [(c1 * c2, (k1 + k2) % n) for c1, k1 in prod for c2, k2 in monos]
-        per_class.append(prod)
-    return _element_average(
-        char_table, table, (per_class[ci] for ci in table.class_of), "fusion"
-    )
+    """(1/|G|) sum over g of chi1 chi2 chi3 (g), weighted by the class sizes
+    counted in the enumeration."""
+    rows = [char_table.row(pi) for pi in (p1, p2, p3)]
+    return _element_average(char_table, table, table.sizes, rows, "fusion")
 
 
 @_check("frobenius-schur-rules-vs-defining-sum")

@@ -20,7 +20,7 @@ from numbers import Integral
 from .chars import epsilon_E_value, epsilon_value
 from .cyclo import CycNumber
 from .grp import ConjClass
-from .reptheory import CharacterTable
+from .reptheory import CharacterTable, monomial_sum
 
 
 class ClosedFormUnavailable(ValueError):
@@ -65,29 +65,18 @@ def zeta_insert(table: CharacterTable, insertions, s):
             raise ValueError("insertion from a different group context")
     r = len(insertions)
     n = table.n
-    cols = [table.ctx.class_index[c] for c in insertions]
+    cols = [table.column(c) for c in insertions]
     if _is_int(s):
-        acc: dict[int, Fraction] = {}
-        for i, pi in enumerate(table.irreps):
-            w = Fraction(table.dims[i]) ** (-(int(s) + r))
-            prod = [(w, 0)]
-            for ci in cols:
-                monos = table._rows[i][ci]
-                if not monos:
-                    prod = []
-                    break
-                prod = [(c1 * c2, (k1 + k2) % n) for c1, k1 in prod for c2, k2 in monos]
-            for coef, k in prod:
-                acc[k] = acc.get(k, 0) + coef
-        val = CycNumber(n, acc).as_rational()
+        weights = [Fraction(d) ** (-(int(s) + r)) for d in table.dims]
+        val = monomial_sum(n, weights, cols).as_rational()
         if val is None:
             raise ArithmeticError("insertion zeta is not rational: table bug")
         return val
     total = 0j
-    for i, pi in enumerate(table.irreps):
-        term = complex(table.dims[i]) ** (-(s + r))
-        for ci, c in zip(cols, insertions):
-            term *= CycNumber.from_monomials(n, table._rows[i][ci]).to_float()
+    for i, d in enumerate(table.dims):
+        term = complex(d) ** (-(s + r))
+        for col in cols:
+            term *= CycNumber.from_monomials(n, col[i]).to_float()
         total += term
     return total
 

@@ -153,6 +153,7 @@ def test_criterion_6_character_tables():
             ctx = T.ctx
             n = T.n
             nirr = len(T.irreps)
+            rows = [T.row(pi) for pi in T.irreps]
             assert sum(d * d for d in T.dims) == T.order
             assert sum(ctx.sizes) == ctx.order
             for i in range(nirr):
@@ -160,19 +161,20 @@ def test_criterion_6_character_tables():
                     acc = {}
                     for ci in range(len(ctx.classes)):
                         w = ctx.sizes[ci]
-                        for c1, k1 in T._rows[i][ci]:
-                            for c2, k2 in T._rows[j][ci]:
+                        for c1, k1 in rows[i][ci]:
+                            for c2, k2 in rows[j][ci]:
                                 k = (k1 - k2) % n
                                 acc[k] = acc.get(k, 0) + w * c1 * c2
                     got = (CycNumber(n, acc) * Fraction(1, T.order)).as_rational()
                     assert got == (1 if i == j else 0), (g, q, i, j)
             ncls = len(ctx.classes)
+            cols = [T.column(c) for c in ctx.classes]
             for a in range(ncls):
                 for b in range(a, ncls):
                     acc = {}
                     for i in range(nirr):
-                        for c1, k1 in T._rows[i][a]:
-                            for c2, k2 in T._rows[i][b]:
+                        for c1, k1 in cols[a][i]:
+                            for c2, k2 in cols[b][i]:
                                 k = (k1 - k2) % n
                                 acc[k] = acc.get(k, 0) + c1 * c2
                     got = CycNumber(n, acc).as_rational()

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from gl2zeta.cli import main
 
 
@@ -214,3 +216,40 @@ def test_both_difference_when_only_closed_form_is_complex(capsys, monkeypatch):
     doc = json.loads(out)
     assert code == 0 and doc["match"] is True
     assert doc["difference"] == {"float": [0.0, 0.0]}
+
+
+def test_zeta_both_evaluates_each_side_once(capsys, monkeypatch):
+    import gl2zeta.cli as cli
+
+    calls = []
+    insert = cli.zeta_insert
+
+    def counting(*args):
+        calls.append(args)
+        return insert(*args)
+
+    monkeypatch.setattr(cli, "zeta_insert", counting)
+    code, out = run(capsys, "zeta", "--q", "3", "--s", "0", "--insert", "c2:0", "--both",
+                    "--format", "json")
+    assert code == 0 and json.loads(out)["match"] is True
+    assert len(calls) == 1
+
+
+def test_non_finite_float_zeta_is_an_error(capsys):
+    # the sum of dim^250.3 over GL(2,16) overflows a double to inf; the NaN
+    # difference of --both must not reach the output either
+    for extra in ((), ("--both",)):
+        assert one_line_error(capsys, "zeta", "--q", "16", "--s", "-250.3",
+                              "--format", "json", *extra) == 1
+
+
+def test_json_output_is_strict():
+    from gl2zeta.cli import _dumps
+
+    with pytest.raises(ValueError):
+        _dumps({"float": [float("inf"), 0.0]})
+
+
+def test_fusion_csv_is_a_usage_error(capsys):
+    assert one_line_error(capsys, "fusion", "--q", "3", "--triple", "steinberg:0",
+                          "steinberg:0", "steinberg:0", "--format", "csv") == 1

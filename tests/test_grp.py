@@ -53,16 +53,6 @@ def test_enumerate_group_counts():
     assert len(list(context("pgl", 3).enumerate_group())) == 24
 
 
-def test_enumerate_group_partition():
-    G = context("gl", 3)
-    full = list(G.enumerate_group())
-    q4 = 3**4
-    parts = []
-    for i in range(4):
-        parts.extend(G.enumerate_group(q4 * i // 4, q4 * (i + 1) // 4))
-    assert parts == full
-
-
 def test_classify_examples():
     G = context("gl", 3)
     assert G.classify((1, 0, 0, 1)) == ConjClass("gl", "central", (1,))

@@ -7,7 +7,7 @@ from conftest import char_table, group_table
 from gl2zeta.cyclo import CycNumber
 from gl2zeta.grp import ConjClass
 from gl2zeta.verify import brute_fs, brute_fusion
-from gl2zeta.reptheory import Irrep
+from gl2zeta.reptheory import Irrep, monomial_sum
 
 ALL_Q = [2, 3, 4, 5, 7, 8, 9]
 
@@ -274,6 +274,33 @@ def test_char_value_independent_of_orbit_representative():
                 ) == T.value(pi, c)
 
 
+def _naive_monomial_sum(n, weights, factor_lists):
+    total = CycNumber.zero(n)
+    for t, w in enumerate(weights):
+        term = CycNumber.from_rational(n, w)
+        for factors in factor_lists:
+            term = term * CycNumber.from_monomials(n, factors[t])
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("g,q", [("gl", 3), ("gl", 4), ("pgl", 5)])
+def test_monomial_sum_matches_naive_products(g, q):
+    T = char_table(g, q)
+    # rational weights with a zero at every third term
+    irrep_weights = [Fraction(t % 3, 1 + t % 4) for t in range(len(T.irreps))]
+    class_weights = [Fraction(t % 3, 1 + t % 4) for t in range(len(T.ctx.classes))]
+    columns = [T.column(c) for c in T.ctx.classes[-3:]]  # elliptic: empty on principal
+    rows = [T.row(pi) for pi in T.irreps[-3:]]  # cuspidal: empty on diagonal
+    assert any(() in f for f in columns) and any(() in f for f in rows)
+    for r in range(4):
+        for weights, factor_lists in ((irrep_weights, columns[:r]), (class_weights, rows[:r])):
+            assert 0 in weights
+            got = monomial_sum(T.n, weights, factor_lists)
+            assert got == _naive_monomial_sum(T.n, weights, factor_lists), (r, weights)
+    assert monomial_sum(T.n, irrep_weights, []) == sum(irrep_weights)
+
+
 @pytest.mark.parametrize("q", ALL_Q)
 @pytest.mark.parametrize("g", ["gl", "pgl"])
 def test_row_orthogonality(g, q):
@@ -281,13 +308,14 @@ def test_row_orthogonality(g, q):
     ctx = T.ctx
     n = T.n
     nirr = len(T.irreps)
+    rows = [T.row(pi) for pi in T.irreps]
     for i in range(nirr):
         for j in range(i, nirr):
             acc = {}
             for ci in range(len(ctx.classes)):
                 w = ctx.sizes[ci]
-                for c1, k1 in T._rows[i][ci]:
-                    for c2, k2 in T._rows[j][ci]:
+                for c1, k1 in rows[i][ci]:
+                    for c2, k2 in rows[j][ci]:
                         k = (k1 - k2) % n
                         acc[k] = acc.get(k, 0) + w * c1 * c2
             got = (CycNumber(n, acc) * Fraction(1, T.order)).as_rational()
@@ -301,12 +329,13 @@ def test_column_orthogonality(g, q):
     ctx = T.ctx
     n = T.n
     ncls = len(ctx.classes)
+    cols = [T.column(c) for c in ctx.classes]
     for a in range(ncls):
         for b in range(a, ncls):
             acc = {}
             for i in range(len(T.irreps)):
-                for c1, k1 in T._rows[i][a]:
-                    for c2, k2 in T._rows[i][b]:
+                for c1, k1 in cols[a][i]:
+                    for c2, k2 in cols[b][i]:
                         k = (k1 - k2) % n
                         acc[k] = acc.get(k, 0) + c1 * c2
             got = CycNumber(n, acc).as_rational()
