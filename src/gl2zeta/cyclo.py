@@ -150,9 +150,7 @@ class CycNumber:
 
     def _check(self, other: "CycNumber") -> None:
         if self.n != other.n:
-            raise ValueError(
-                f"conductor mismatch: {self.n} != {other.n}; lift explicitly first"
-            )
+            raise ValueError(f"conductor mismatch: {self.n} != {other.n}")
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -204,13 +202,6 @@ class CycNumber:
         """Complex conjugate (zeta -> zeta^(-1))."""
         return CycNumber(self.n, {-k % self.n: c for k, c in self._terms.items()})
 
-    def lift(self, m: int) -> "CycNumber":
-        """Reinterpret in Q(zeta_m) where n divides m."""
-        if m % self.n != 0:
-            raise ValueError(f"cannot lift conductor {self.n} to {m}")
-        step = m // self.n
-        return CycNumber(m, {k * step: c for k, c in self._terms.items()})
-
     # -- canonical form and predicates ---------------------------------
 
     def canonical_coeffs(self) -> tuple:
@@ -254,6 +245,8 @@ class CycNumber:
 
     def as_rational(self):
         """The value as a Fraction, or None when it is not rational."""
+        if not self._terms.keys() - {0}:  # a constant needs no reduction
+            return Fraction(self._terms.get(0, 0))
         canon = self.canonical_coeffs()
         if any(canon[1:]):
             return None

@@ -295,16 +295,6 @@ class Field:
             raise FieldError(f"{x} is not a square in F_{self.q}")
         return self._exp[k // 2]
 
-    def trace_to_prime(self, x: int) -> int:
-        """Absolute trace F_q -> F_p, returned as an int in [0, p)."""
-        t = 0
-        y = x
-        for _ in range(self.e):
-            t = self.add(t, y)
-            y = self.pow(y, self.p)
-        assert t < self.p
-        return t
-
     def __repr__(self):
         return f"Field(p={self.p}, e={self.e})"
 

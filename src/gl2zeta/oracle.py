@@ -20,6 +20,7 @@ products (#gens is 2-4 for GL with q <= 8) and |G|^2 integer lookups.
 
 from __future__ import annotations
 
+from array import array
 from functools import cached_property
 
 from .ffield import CapExceeded
@@ -78,27 +79,29 @@ class GroupTable:
         return self.cayley_rows[i][j]
 
     @cached_property
-    def cayley_rows(self) -> list[list[int]]:
-        """Row i is x -> index of elements[i] * x.  Generators are picked
-        greedily in enumeration order, each outside the subgroup generated so
-        far, at |G| products apiece; closing the subgroup under left
-        multiplication composes every other row, row(s c) = row(s) o row(c)."""
+    def cayley_rows(self) -> list[array]:
+        """Row i is x -> index of elements[i] * x, as a 2-byte array when
+        |G| < 65536, else 4-byte.  Generators are picked greedily in
+        enumeration order, each outside the subgroup generated so far, at |G|
+        products apiece; closing the subgroup under left multiplication
+        composes every other row, row(s c) = row(s) o row(c)."""
         n = self.n
+        typecode = "H" if n < 1 << 16 else "I"
         rows: list = [None] * n
-        rows[self.identity] = list(range(n))
+        rows[self.identity] = array(typecode, range(n))
         gens: list[int] = []
         reached = [self.identity]
         for x in range(n):
             if rows[x] is not None:
                 continue
-            rows[x] = [self.product(x, j) for j in range(n)]
+            rows[x] = array(typecode, [self.product(x, j) for j in range(n)])
             gens.append(x)
             reached.append(x)
             for c in reached:  # grows while it is walked
                 for s in gens:
                     y = rows[s][c]
                     if rows[y] is None:
-                        rows[y] = list(map(rows[s].__getitem__, rows[c]))
+                        rows[y] = array(typecode, map(rows[s].__getitem__, rows[c]))
                         reached.append(y)
         return rows
 

@@ -5,7 +5,9 @@ Character values are exact elements of Q(zeta_n), n = q^2 - 1, stored
 internally as short monomial lists (coefficient, power-of-zeta) so the
 large class-weighted sums stay in integer arithmetic until the end.
 Every character-table sum goes through `monomial_sum`; other modules pass
-it `CharacterTable.row`/`column` lists and never look inside a monomial.
+it `CharacterTable.row`/`column` lists, and `topo` also passes the induced
+traces of centralizer characters, built in the same (coefficient, power)
+format.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ class CharacterTable:
         self._rows = [
             [self._monomials(pi, c) for c in ctx.classes] for pi in self.irreps
         ]
-        self._fs = [self._fs_rule(pi) for pi in self.irreps]
+        self.fs = [self._fs_rule(pi) for pi in self.irreps]
 
     # -- irrep lists ------------------------------------------------------
 
@@ -226,7 +228,7 @@ class CharacterTable:
         return 1 if pi.params[0] % m == 0 else 0
 
     def fs_indicator(self, pi: Irrep) -> int:
-        return self._fs[self.irrep_index[pi]]
+        return self.fs[self.irrep_index[pi]]
 
     def fs_defining_sum(self, pi: Irrep) -> int:
         """(1/|G|) sum over g of chi(g^2), via class squares."""

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclo import CycNumber
-from .grp import ClassFunction, ConjClass, Mat, mat_inv, mat_mul
-from .reptheory import CharacterTable, Irrep, monomial_sum
+from .grp import ClassFunction, ConjClass, mat_inv
+from .reptheory import CharacterTable, Irrep, Monomials, monomial_sum
 from .zeta import zeta as zeta_sum, zeta_double, zeta_insert
 
 
@@ -80,7 +80,7 @@ def hom_count(table: CharacterTable, spec: SurfaceSpec) -> HomCount:
     # irreps with FS indicator 0 drop out; no power is computed for them
     weights = [
         fs**g * Fraction(d) ** (chi - r) if fs else 0
-        for fs, d in zip(map(table.fs_indicator, table.irreps), table.dims)
+        for fs, d in zip(table.fs, table.dims)
     ]
     cols = [table.column(c) for c in spec.boundaries]
     total = weight * monomial_sum(table.n, weights, cols).as_rational()
@@ -100,7 +100,15 @@ class CentChar:
 
 
 class CentralizerData:
-    """Concrete subgroup data for the centralizer of one GL class."""
+    """The centralizer H of one GL class: its irreducible characters and
+    their induced traces.
+
+    For abelian H, Ind_H^G rho(gamma) = (|C_G(gamma)|/|H|) * sum of rho over
+    gamma^G meet H (the Frobenius formula), and that meet is explicit:
+    {xI} for central gamma, {diag(x,y), diag(y,x)} in the split torus,
+    {lam, lam^q} in the non-split torus, {x(1+uN) : u != 0} in the
+    mirabolic.  Every class of one kind gives the same data.
+    """
 
     def __init__(self, table: CharacterTable, cls: ConjClass):
         if table.group != "gl":
@@ -112,11 +120,6 @@ class CentralizerData:
         cent = ctx.centralizer(cls)
         self.structure = cent.structure
         self.order = cent.order
-        self.conductor = ctx.field.p * table.n  # additive characters need zeta_p
-        if self.structure == "nonsplit-torus":
-            lam = cls.params[0]
-            self._gen_mat = ctx.elliptic_rep(lam)
-            self._lam = lam
 
     def characters(self) -> list[CentChar]:
         q = self.ctx.q
@@ -136,126 +139,86 @@ class CentralizerData:
             ]
         return [CentChar("nonsplit-torus", (m,)) for m in range(q * q - 1)]
 
-    def char_dim(self, rho: CentChar) -> int:
-        return self.table.dim(rho.irrep) if rho.structure == "full" else 1
-
-    def char_fs(self, rho: CentChar) -> int:
-        """Frobenius-Schur indicator of a centralizer irreducible."""
-        q = self.ctx.q
-        if rho.structure == "full":
-            return self.table.fs_indicator(rho.irrep)
-        if rho.structure == "mirabolic":
-            m, t = rho.params
-            sq_trivial = (2 * m) % (q - 1) == 0 and (
-                q % 2 == 0 or t == 0
-            )
-            return 1 if sq_trivial else 0
-        if rho.structure == "split-torus":
-            m1, m2 = rho.params
-            return 1 if (2 * m1) % (q - 1) == 0 and (2 * m2) % (q - 1) == 0 else 0
-        return 1 if (2 * rho.params[0]) % (q * q - 1) == 0 else 0
-
-    def decompose(self, m: Mat):
-        """Membership test; returns structure-specific coordinates or None."""
-        F, E = self.ctx.field, self.ctx.ext
-        a, b, c, d = m
+    def char_dims(self) -> list[int]:
+        """Dimensions of the characters, in `characters()` order."""
         if self.structure == "full":
-            return m
+            return self.table.dims
+        return [1] * self.order
+
+    def char_fs(self) -> list[int]:
+        """Frobenius-Schur indicators, in `characters()` order: a linear
+        character has indicator 1 when its square is trivial, else 0."""
+        if self.structure == "full":
+            return self.table.fs
+        q = self.ctx.q
+        real = [1 if (2 * m) % (q - 1) == 0 else 0 for m in range(q - 1)]
         if self.structure == "mirabolic":
-            if c == 0 and a == d and a != 0:
-                return (a, F.mul(b, F.inv(a)))  # [[a, a*u], [0, a]]
-            return None
+            # psi_t squares to psi_2t, trivial when t = 0 or p = 2
+            return [real[m] if q % 2 == 0 or t == 0 else 0
+                    for m in range(q - 1) for t in range(q)]
         if self.structure == "split-torus":
-            if b == 0 and c == 0:
-                return (a, d)
-            return None
-        # nonsplit torus: m = a*I + c*c4(lam)
-        lam = self._lam
-        _, gb, _, gd = self._gen_mat
-        if b == F.mul(c, gb) and d == F.add(a, F.mul(c, gd)):
-            return E.add(E.embed(a), E.mul(E.embed(c), lam))
-        return None
+            return [real[m1] * real[m2] for m1 in range(q - 1) for m2 in range(q - 1)]
+        return [1 if (2 * m) % (q * q - 1) == 0 else 0 for m in range(q * q - 1)]
 
-    def char_value_power(self, rho: CentChar, coords) -> int:
-        """Exponent of the character value as a power of zeta_{p*(q^2-1)}."""
-        F, E, q = self.ctx.field, self.ctx.ext, self.ctx.q
-        p = F.p
-        n = self.table.n
-        P = self.conductor
-        if rho.structure == "mirabolic":
-            a, u = coords
-            m, t = rho.params
-            mult = (m * F.dlog(a) * (q + 1) * p) % P
-            add = (F.trace_to_prime(F.mul(t, u)) * n) % P
-            return (mult + add) % P
-        if rho.structure == "split-torus":
-            a, d = coords
-            m1, m2 = rho.params
-            return ((m1 * F.dlog(a) + m2 * F.dlog(d)) * (q + 1) * p) % P
-        if rho.structure == "nonsplit-torus":
+    def meet_sum(self, rho: CentChar, gamma: ConjClass) -> Monomials:
+        """sum of rho over gamma^G meet H, as monomials in zeta_n, n = q^2 - 1."""
+        F, E, q, n = self.ctx.field, self.ctx.ext, self.ctx.q, self.table.n
+        structure, kind = self.structure, gamma.kind
+        if structure == "full":
+            raise ValueError("full-group characters are table rows")
+        if kind == "central":
+            x = gamma.params[0]
+            if structure == "mirabolic":
+                m, _ = rho.params  # psi_t(0) = 1
+                return ((1, m * F.dlog(x) * (q + 1) % n),)
+            if structure == "split-torus":
+                m1, m2 = rho.params
+                return ((1, (m1 + m2) * F.dlog(x) * (q + 1) % n),)
             (m,) = rho.params
-            return (m * E.dlog(coords) * p) % P
-        raise ValueError("full-group characters are not monomial")
+            return ((1, m * E.dlog(E.embed(x)) % n),)
+        if structure == "mirabolic" and kind == "unipotent":
+            # sum over u != 0 of psi_t(u) = q [t = 0] - 1
+            m, t = rho.params
+            return ((q - 1 if t == 0 else -1, m * F.dlog(gamma.params[0]) * (q + 1) % n),)
+        if structure == "split-torus" and kind == "diagonal":
+            m1, m2 = rho.params
+            i, j = (F.dlog(x) * (q + 1) for x in gamma.params)
+            return ((1, (m1 * i + m2 * j) % n), (1, (m1 * j + m2 * i) % n))
+        if structure == "nonsplit-torus" and kind == "elliptic":
+            (m,) = rho.params
+            k = m * E.dlog(gamma.params[0])
+            return ((1, k % n), (1, k * q % n))
+        return ()
 
-
-def _conjugates(ctx, gamma: ConjClass) -> dict:
-    """Multiset {x gamma~ x^-1 : x in G} for the representative gamma~, as
-    matrix -> count (one pass over G)."""
-    F = ctx.field
-    rep = ctx.representative(gamma)
-    counts: dict = {}
-    for x in ctx.enumerate_group():
-        t = mat_mul(F, mat_mul(F, x, rep), mat_inv(F, x))
-        counts[t] = counts.get(t, 0) + 1
-    return counts
-
-
-def _in_centralizer(data: CentralizerData, conjugates: dict) -> dict:
-    """The conjugates that lie in the centralizer, as coordinate -> count."""
-    counts: dict = {}
-    for t, cnt in conjugates.items():
-        coords = data.decompose(t)
-        if coords is not None:
-            counts[coords] = counts.get(coords, 0) + cnt
-    return counts
-
-
-def _conjugate_counts(table: CharacterTable, host: ConjClass, gamma: ConjClass):
-    """Multiset {x gamma~ x^-1 : x in G} intersected with the centralizer of
-    `host`, as coordinate -> count."""
-    data = CentralizerData(table, host)
-    return data, _in_centralizer(data, _conjugates(table.ctx, gamma))
-
-
-def _induced_trace(data: CentralizerData, rho: CentChar, counts: dict) -> CycNumber:
-    """(1/|H|) sum of rho over the conjugates in H, given as coordinate -> count."""
-    acc: dict[int, int] = {}
-    for coords, cnt in counts.items():
-        k = data.char_value_power(rho, coords)
-        acc[k] = acc.get(k, 0) + cnt
-    return CycNumber(data.conductor, acc) * Fraction(1, data.order)
+    def induced_column(self, gamma: ConjClass) -> tuple[Fraction, list]:
+        """(s, col) with Ind_H^G rho(gamma) = s * col[i] for the i-th character."""
+        if self.structure == "full":
+            return Fraction(1), self.table.column(gamma)
+        scale = Fraction(self.ctx.centralizer(gamma).order, self.order)
+        return scale, [self.meet_sum(rho, gamma) for rho in self.characters()]
 
 
 def induced_char_value(
     table: CharacterTable, host: ConjClass, rho: CentChar, gamma: ConjClass
 ) -> CycNumber:
-    """Tr(Ind_H^G rho)(gamma) for H the centralizer of `host`.
+    """Tr(Ind_H^G rho)(gamma) for H the centralizer of `host`, in Q(zeta_n).
 
     Whole-group case: induction is trivial and this is chi_rho(gamma).
-    Abelian cases: (1/|H|) sum over x in G with x gamma x^-1 in H of
-    rho(x gamma x^-1).  Values live in Q(zeta_{p(q^2-1)}).
+    Abelian cases: the Frobenius formula (see `CentralizerData`).
     """
     data = CentralizerData(table, host)
     if data.structure == "full":
-        return table.value(rho.irrep, gamma).lift(data.conductor)
-    return _induced_trace(data, rho, _in_centralizer(data, _conjugates(table.ctx, gamma)))
+        return table.value(rho.irrep, gamma)
+    scale = Fraction(table.ctx.centralizer(gamma).order, data.order)
+    return CycNumber.from_monomials(table.n, data.meet_sum(rho, gamma)) * scale
 
 
 # -- quotient counts -------------------------------------------------------------
 
 
 def quotient_count(table: CharacterTable, spec: SurfaceSpec) -> HomCount:
-    """|Hom(pi_1(surface), G)/Ad G| via the centralizer decomposition."""
+    """|Hom(pi_1(surface), G)/Ad G|: Burnside over centralizers, one host per
+    class kind weighted by the kind's summed class sizes, with induced traces."""
     if table.group != "gl":
         raise ValueError(
             "quotient counts use the GL centralizer structure; "
@@ -264,64 +227,37 @@ def quotient_count(table: CharacterTable, spec: SurfaceSpec) -> HomCount:
     ctx = table.ctx
     g, r = spec.genus, len(spec.boundaries)
     order = table.order
-    if r == 0:
-        total = Fraction(0)
-        for c in ctx.classes:
-            data = CentralizerData(table, c)
-            if spec.orientable:
-                if data.structure == "full":
-                    inner = zeta_sum(table, 2 * g - 2)
-                else:
-                    inner = Fraction(data.order)  # |C| characters of dim 1
-                total += Fraction(data.order) ** (2 * g - 2) * inner
-            else:
-                chi = 2 - g
-                inner = Fraction(0)
-                for rho in data.characters():
-                    fs = data.char_fs(rho)
-                    if fs:
-                        inner += Fraction(fs * data.char_dim(rho)) ** chi
-                total += Fraction(data.order) ** (-chi) * inner
-        if spec.orientable:
-            double = order ** (2 * g - 2) * zeta_double(table, 2 * g - 2)
-            assert total == double, "centralizer sum disagrees with the double"
-        return HomCount(_as_count(total, "quotient count"), "|X/AdG|")
-
-    # boundary case: Burnside over centralizers with induced traces
-    P = ctx.field.p * table.n
+    hosts: dict[str, tuple[ConjClass, int]] = {}
+    for c, size in zip(ctx.classes, ctx.sizes):
+        host, kind_size = hosts.get(c.kind, (c, 0))
+        hosts[c.kind] = (host, kind_size + size)
     weight = Fraction(1, order ** (r + 1))
     for c in spec.boundaries:
         weight *= ctx.sizes[ctx.class_index[c]]
-    conjugates = {gamma: _conjugates(ctx, gamma) for gamma in spec.boundaries}
-    total = CycNumber.zero(P)
-    for host_i, host in enumerate(ctx.classes):
+    exponent = (2 * g + r - 1) if spec.orientable else (g + r - 1)
+    total = CycNumber.zero(table.n)
+    for host, kind_size in hosts.values():
         data = CentralizerData(table, host)
-        chars = data.characters()
-        gamma_traces = []
+        if spec.orientable:
+            coefs = [Fraction(d) ** (-(2 * g - 2 + r)) for d in data.char_dims()]
+        else:
+            # characters with FS indicator 0 drop out; no power is computed for them
+            coefs = [
+                fs**g * Fraction(d) ** (-(g - 2 + r)) if fs else 0
+                for fs, d in zip(data.char_fs(), data.char_dims())
+            ]
+        scale = kind_size * Fraction(data.order) ** exponent
+        cols = []
         for gamma in spec.boundaries:
-            if data.structure == "full":
-                traces = [table.value(rho.irrep, gamma).lift(P) for rho in chars]
-            else:
-                counts = _in_centralizer(data, conjugates[gamma])
-                traces = [_induced_trace(data, rho, counts) for rho in chars]
-            gamma_traces.append(traces)
-        csum = CycNumber.zero(P)
-        for rho_i, rho in enumerate(chars):
-            dim = data.char_dim(rho)
-            if spec.orientable:
-                coef = Fraction(dim) ** (-(2 * g - 2 + r))
-            else:
-                fs = data.char_fs(rho)
-                if fs == 0:
-                    continue
-                coef = Fraction(fs) ** g * Fraction(dim) ** (-(g - 2 + r))
-            term = CycNumber.from_rational(P, coef)
-            for traces in gamma_traces:
-                term = term * traces[rho_i]
-            csum = csum + term
-        exponent = (2 * g + r - 1) if spec.orientable else (g + r - 1)
-        total = total + csum * (ctx.sizes[host_i] * Fraction(data.order) ** exponent)
-    return HomCount(_as_count(total * weight, "quotient count"), "|X/AdG|")
+            s, col = data.induced_column(gamma)
+            scale *= s
+            cols.append(col)
+        total = total + monomial_sum(table.n, coefs, cols) * scale
+    total = total * weight
+    if r == 0 and spec.orientable:
+        double = Fraction(order) ** (2 * g - 2) * zeta_double(table, 2 * g - 2)
+        assert total == double, "centralizer sum disagrees with the double"
+    return HomCount(_as_count(total, "quotient count"), "|X/AdG|")
 
 
 # -- spectral class functions ------------------------------------------------------
@@ -338,9 +274,8 @@ def theta_torus_spectral(table: CharacterTable) -> ClassFunction:
 
 def theta_square_spectral(table: CharacterTable) -> ClassFunction:
     """sum over pi of fs(pi) * chi_pi."""
-    weights = [table.fs_indicator(pi) for pi in table.irreps]
     return ClassFunction(table.ctx, [
-        _as_count(monomial_sum(table.n, weights, [table.column(c)]), "theta_square value")
+        _as_count(monomial_sum(table.n, table.fs, [table.column(c)]), "theta_square value")
         for c in table.ctx.classes
     ])
 

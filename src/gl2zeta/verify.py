@@ -213,9 +213,7 @@ def check_involutions(s: _Session) -> str:
     ) - 1
     assert t == (q * q - 1 if q % 2 == 0 else q * q + q + 1)
     # 1 + t equals the dimension sum over irreps with nonzero indicator
-    dimsum = sum(
-        d for d, pi in zip(s.gl.dims, s.gl.irreps) if s.gl.fs_indicator(pi)
-    )
+    dimsum = sum(d for d, fs in zip(s.gl.dims, s.gl.fs) if fs)
     assert 1 + t == dimsum
     if ctx.order <= s.cap:
         table = s.group_table("gl")
@@ -499,16 +497,18 @@ def check_quotient(s: _Session) -> str:
 def check_boundary_quotient(s: _Session) -> str:
     table = s.group_table("gl")
     reps = _first_of_each_kind(s.gl.ctx)
-    for c1 in reps:
-        spec = SurfaceSpec(True, 1, (c1,))
-        assert quotient_count(s.gl, spec).value == brute_quotient_count(
-            table, spec, "burnside"
-        )
-        nspec = SurfaceSpec(False, 1, (c1,))
-        assert quotient_count(s.gl, nspec).value == brute_quotient_count(
-            table, nspec, "burnside"
-        )
-    return "boundary quotient counts via induced centralizer characters = Burnside enumeration"
+    first = {c.kind: c for c in reps}
+    pair = (first["unipotent"], first["elliptic"])
+    for boundaries in [(c1,) for c1 in reps] + [pair]:
+        for orient in (True, False):
+            spec = SurfaceSpec(orient, 1, boundaries)
+            assert quotient_count(s.gl, spec).value == brute_quotient_count(
+                table, spec, "burnside"
+            )
+    return (
+        "boundary quotient counts (Frobenius-formula induced traces, r = 1, 2) "
+        "= Burnside enumeration"
+    )
 
 
 @_check("theta-spectral-vs-enumerative")

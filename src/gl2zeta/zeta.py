@@ -49,7 +49,7 @@ def zeta_fs(table: CharacterTable, eps: int, s):
     """zeta restricted to irreps with the given Frobenius-Schur indicator."""
     if eps not in (-1, 0, 1):
         raise ValueError("eps must be -1, 0 or +1")
-    dims = [d for d, pi in zip(table.dims, table.irreps) if table.fs_indicator(pi) == eps]
+    dims = [d for d, fs in zip(table.dims, table.fs) if fs == eps]
     if _is_int(s):
         return sum((Fraction(d) ** (-int(s)) for d in dims), Fraction(0))
     return sum(complex(d) ** (-s) for d in dims)

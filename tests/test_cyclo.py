@@ -97,13 +97,6 @@ def test_mixed_conductor_rejected():
         root_of_unity(4, 1) * root_of_unity(8, 1)
 
 
-def test_lift_conductor():
-    assert root_of_unity(4, 1).lift(8) == root_of_unity(8, 2)
-    assert root_of_unity(4, 1).lift(8).to_float() == pytest.approx(1j)
-    with pytest.raises(ValueError):
-        root_of_unity(4, 1).lift(6)
-
-
 def test_rational_scalars():
     z = root_of_unity(5, 1)
     assert (z * Fraction(1, 2) + z * Fraction(1, 2)) == z

@@ -147,12 +147,6 @@ def test_trace_surjective():
         assert len({E.trace(lam) for lam in E.elements()}) == F.q
 
 
-def test_absolute_trace_lands_in_prime_field():
-    F = build_field(3, 2)
-    values = {F.trace_to_prime(x) for x in range(F.q)}
-    assert values == {0, 1, 2}
-
-
 def test_prime_power():
     assert prime_power(8) == (2, 3)
     assert prime_power(9) == (3, 2)

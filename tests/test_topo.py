@@ -1,10 +1,11 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from conftest import char_table, group_table
 from gl2zeta.cyclo import CycNumber
-from gl2zeta.grp import ConjClass, mat_inv
+from gl2zeta.grp import ConjClass, mat_inv, mat_mul
 from gl2zeta.oracle import brute_hom_count, brute_quotient_count
 from gl2zeta.topo import (
     CentralizerData,
@@ -18,7 +19,6 @@ from gl2zeta.topo import (
     quotient_count,
     theta_square_spectral,
     theta_torus_spectral,
-    _conjugate_counts,
 )
 from gl2zeta.zeta import zeta_double
 
@@ -177,13 +177,101 @@ def test_quotient_rejects_pgl():
 
 
 def test_central_insertion_neutral_in_quotient():
-    T = char_table("gl", 3)
+    """c1:0 is the identity, so inserting it changes nothing.  At q = 23 the
+    group has 267168 elements, past any enumeration cap: the formula side
+    never enumerates G."""
     one = ConjClass("gl", "central", (1,))
-    base = quotient_count(T, SurfaceSpec(True, 1)).value
-    assert quotient_count(T, SurfaceSpec(True, 1, (one,))).value == base
+    for q in (3, 23):
+        T = char_table("gl", q)
+        for orient in (True, False):
+            base = quotient_count(T, SurfaceSpec(orient, 1)).value
+            assert quotient_count(T, SurfaceSpec(orient, 1, (one,))).value == base
 
 
 # -- induced characters -------------------------------------------------------
+
+
+def _abs_trace(F, v):
+    """Absolute trace F_q -> F_p (prime-field codes are the integers 0..p-1)."""
+    t, y = 0, v
+    for _ in range(F.e):
+        t = F.add(t, y)
+        y = F.pow(y, F.p)
+    assert t < F.p
+    return t
+
+
+def _reference_char(data, m):
+    """rho(m) for every character rho of the abelian centralizer, as powers
+    of zeta_{p(q^2-1)}, or None when m is outside it.  Membership is
+    commuting with the host representative; the characters are written out
+    from their definitions, independently of `CentralizerData.meet_sum`."""
+    ctx = data.ctx
+    F, E, q = ctx.field, ctx.ext, ctx.q
+    p, n = F.p, q * q - 1
+    rep = ctx.representative(data.cls)
+    if mat_mul(F, m, rep) != mat_mul(F, rep, m):
+        return None
+    a, b, c, d = m
+    if data.structure == "mirabolic":  # m = a(1 + uN)
+        u = F.mul(b, F.inv(a))
+        return [
+            (mm * F.dlog(a) * (q + 1) * p + _abs_trace(F, F.mul(t, u)) * n) % (p * n)
+            for mm, t in (r.params for r in data.characters())
+        ]
+    if data.structure == "split-torus":  # m = diag(a, d)
+        return [
+            (m1 * F.dlog(a) + m2 * F.dlog(d)) * (q + 1) * p % (p * n)
+            for m1, m2 in (r.params for r in data.characters())
+        ]
+    # m = a + c * C(lam), and C(lam) -> lam embeds the torus into E^x
+    lam = E.add(E.embed(a), E.mul(E.embed(c), data.cls.params[0]))
+    return [r.params[0] * E.dlog(lam) * p % (p * n) for r in data.characters()]
+
+
+def _conjugates(ctx, gamma):
+    """Multiset {x gamma x^-1 : x in G}."""
+    F = ctx.field
+    rep = ctx.representative(gamma)
+    return Counter(mat_mul(F, mat_mul(F, x, rep), mat_inv(F, x)) for x in ctx.enumerate_group())
+
+
+def _lift(z, m):
+    """z in Q(zeta_n) as an element of Q(zeta_m), n | m."""
+    step = m // z.n
+    return CycNumber(m, {i * step: c for i, c in enumerate(z.coeffs) if c})
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_induced_matches_enumerated_reference(q):
+    """Tr(Ind_H^G rho)(gamma) = (1/|H|) sum over x in G with x gamma x^-1 in H
+    of rho(x gamma x^-1), for every host class, every rho and every gamma;
+    q = 4 has additive characters of F_4 over F_2."""
+    T = char_table("gl", q)
+    ctx = T.ctx
+    P = ctx.field.p * T.n
+    conjugates = {gamma: _conjugates(ctx, gamma) for gamma in ctx.classes}
+    for host in ctx.classes:
+        data = CentralizerData(T, host)
+        chars = data.characters()
+        for gamma in ctx.classes:
+            if data.structure == "full":
+                for rho in chars:
+                    assert induced_char_value(T, host, rho, gamma) == T.value(rho.irrep, gamma)
+                continue
+            acc = [Counter() for _ in chars]
+            members = 0
+            for m, cnt in conjugates[gamma].items():
+                powers = _reference_char(data, m)
+                if powers is None:
+                    continue
+                members += cnt
+                for i, k in enumerate(powers):
+                    acc[i][k] += cnt
+            assert members % ctx.centralizer(gamma).order == 0
+            for rho, terms in zip(chars, acc):
+                want = CycNumber(P, terms) * Fraction(1, data.order)
+                assert _lift(induced_char_value(T, host, rho, gamma), P) == want
 
 
 def test_induced_from_whole_group_is_character():
@@ -193,7 +281,7 @@ def test_induced_from_whole_group_is_character():
     for rho in data.characters()[:4]:
         for gamma in T.ctx.classes:
             got = induced_char_value(T, central, rho, gamma)
-            assert got == T.value(rho.irrep, gamma).lift(data.conductor)
+            assert got == T.value(rho.irrep, gamma)
 
 
 def test_induced_vanishes_off_meeting_classes():
@@ -207,17 +295,27 @@ def test_induced_vanishes_off_meeting_classes():
 
 
 def test_induced_trivial_character_counts_cosets():
-    """For the trivial character, Tr(Ind 1)(gamma) = |{x : x gamma x^-1 in H}| / |H|."""
-    T = char_table("gl", 3)
-    host = next(c for c in T.ctx.classes if c.kind == "diagonal")
-    data = CentralizerData(T, host)
-    triv = next(
-        r for r in data.characters() if data.char_value_power(r, (1, 1)) == 0 and r.params == (0, 0)
-    )
-    for gamma in T.ctx.classes:
-        _, counts = _conjugate_counts(T, host, gamma)
-        want = Fraction(sum(counts.values()), data.order)
-        assert induced_char_value(T, host, triv, gamma).as_rational() == want
+    """Tr(Ind_H 1)(gamma) = |{x : x gamma x^-1 in H}| / |H| is the number of
+    host conjugates commuting with gamma, so its sum over the host classes,
+    divided by |C_G(gamma)|, is Burnside's count for the annulus whose
+    boundaries are gamma and gamma^-1 (one orbit: the class of gamma)."""
+    for q in (3, 4):
+        T = char_table("gl", q)
+        G = group_table("gl", q)
+        ctx = T.ctx
+        trivial = []  # (host, its trivial character)
+        for host in ctx.classes:
+            rho = CentralizerData(T, host).characters()[0]
+            assert rho.irrep == T.irreps[0] if rho.irrep else not any(rho.params)
+            trivial.append((host, rho))
+        for gamma in ctx.classes:
+            total = sum(
+                induced_char_value(T, host, rho, gamma).as_rational() for host, rho in trivial
+            )
+            ginv = ctx.classify(mat_inv(ctx.field, ctx.representative(gamma)))
+            annulus = SurfaceSpec(True, 0, (gamma, ginv))
+            want = brute_quotient_count(G, annulus, "burnside")
+            assert total == ctx.centralizer(gamma).order * want
 
 
 def test_induced_character_fourier_lemma():
@@ -226,29 +324,29 @@ def test_induced_character_fourier_lemma():
     T = char_table("gl", 3)
     ctx = T.ctx
     F = ctx.field
+    P = F.p * T.n
     for host in ctx.classes:
         data = CentralizerData(T, host)
         if data.structure == "full":
             continue
-        P = data.conductor
         members = []
         for x in ctx.enumerate_group():
-            co = data.decompose(x)
-            if co is not None:
-                members.append((x, co))
+            powers = _reference_char(data, x)
+            if powers is not None:
+                members.append((x, powers))
         assert len(members) == data.order
         for gamma in ctx.classes:
             ginv = ctx.classify(mat_inv(F, ctx.representative(gamma)))
             cgamma = ctx.centralizer(gamma).order
             traces = [
-                induced_char_value(T, host, rho, ginv) for rho in data.characters()
+                _lift(induced_char_value(T, host, rho, ginv), P) for rho in data.characters()
             ]
             gi = ctx.class_index[gamma]
-            for h, co in members:
+            for h, powers in members:
                 lhs = 1 if ctx.class_index[ctx.classify(h)] == gi else 0
                 rhs = CycNumber.zero(P)
-                for rho, tr in zip(data.characters(), traces):
-                    rhs = rhs + CycNumber(P, {data.char_value_power(rho, co): 1}) * tr
+                for k, tr in zip(powers, traces):
+                    rhs = rhs + CycNumber(P, {k: 1}) * tr
                 assert (rhs * Fraction(1, cgamma)).as_rational() == lhs
 
 
