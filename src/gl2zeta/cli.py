@@ -178,29 +178,28 @@ def parse_s(text: str):
 def cmd_chartable(args) -> int:
     ctx = _context(args.group, args.q)
     table = CharacterTable(ctx)
-    rows = []
-    for pi in table.irreps:
-        rows.append(
+    labels = [ctx.class_label(c) for c in ctx.classes]
+    if args.format == "json":
+        rows = [
             {
                 "irrep": irrep_label(table, pi),
                 "dim": table.dim(pi),
                 "fs": table.fs_indicator(pi),
                 "values": [ser_exact(table.value(pi, c)) for c in ctx.classes],
             }
-        )
-    doc = {
-        "schema": SCHEMA,
-        "command": "chartable",
-        "group": args.group,
-        "q": args.q,
-        "classes": [ctx.class_label(c) for c in ctx.classes],
-        "class_sizes": ctx.sizes,
-        "irreps": rows,
-    }
-    if args.format == "json":
-        sys.stdout.write(_dumps(doc))
+            for pi in table.irreps
+        ]
+        sys.stdout.write(_dumps({
+            "schema": SCHEMA,
+            "command": "chartable",
+            "group": args.group,
+            "q": args.q,
+            "classes": labels,
+            "class_sizes": ctx.sizes,
+            "irreps": rows,
+        }))
     elif args.format == "csv":
-        out = ["irrep,dim,fs," + ",".join(doc["classes"])]
+        out = ["irrep,dim,fs," + ",".join(labels)]
         for pi in table.irreps:
             vals = ",".join(
                 '"' + render_exact(table.value(pi, c)) + '"' for c in ctx.classes
@@ -210,7 +209,7 @@ def cmd_chartable(args) -> int:
     else:
         width = 16
         head = ["irrep".ljust(18), "dim".rjust(4), "fs".rjust(3)] + [
-            ctx.class_label(c).center(width) for c in ctx.classes
+            label.center(width) for label in labels
         ]
         lines = ["".join(head)]
         lines.append(

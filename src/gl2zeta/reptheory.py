@@ -1,19 +1,20 @@
 """Irreducible representations of GL(2,F_q) and PGL(2,F_q): exact character
 tables, Frobenius-Schur indicators, contragredients and fusion coefficients.
 
-Character values are exact elements of Q(zeta_n), n = q^2 - 1, stored
-internally as short monomial lists (coefficient, power-of-zeta) so the
-large class-weighted sums stay in integer arithmetic until the end.
-Every character-table sum goes through `monomial_sum`; other modules pass
-it `CharacterTable.row`/`column` lists, and `topo` also passes the induced
-traces of centralizer characters, built in the same (coefficient, power)
-format.
+Character values are exact elements of Q(zeta_n), n = q^2 - 1, held as
+short monomial tuples (coefficient, power-of-zeta); a table row or column is
+built on first read and memoised, so a query pays only for the cells it reads.
+Every character-table sum goes through `monomial_sum` (`rational_sum` when
+the sum is rational, in integers until one final division); other modules
+pass it `CharacterTable.row`/`column` tuples, and `topo` also the induced
+traces of centralizer characters, in the same (coefficient, power) format.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .chars import enumerate_M, enumerate_N
 from .cyclo import CycNumber
@@ -51,6 +52,19 @@ def monomial_sum(n: int, weights, factor_lists) -> CycNumber:
     return CycNumber(n, acc)
 
 
+def rational_sum(n: int, weights, factor_lists) -> Fraction:
+    """`monomial_sum` for a rational result: each distinct weight becomes an
+    integer over the weights' common denominator D, the integer sum is
+    canonicalised, and D divides once at the end."""
+    distinct = set(weights)
+    den = lcm(*(Fraction(w).denominator for w in distinct))
+    scaled = {w: int(w * den) for w in distinct}
+    r = monomial_sum(n, [scaled[w] for w in weights], factor_lists).as_rational()
+    if r is None:
+        raise ArithmeticError("character-table sum is not rational: table bug")
+    return r / den
+
+
 def _merge(pairs) -> Monomials:
     acc: dict[int, int] = {}
     for c, k in pairs:
@@ -72,9 +86,9 @@ class CharacterTable:
         assert sum(d * d for d in self.dims) == self.order
         assert len(self.irreps) == len(ctx.classes)
         self.irrep_index = {pi: i for i, pi in enumerate(self.irreps)}
-        self._rows = [
-            [self._monomials(pi, c) for c in ctx.classes] for pi in self.irreps
-        ]
+        # built on first read; a slot holds None or a complete tuple
+        self._rows: list[tuple | None] = [None] * len(self.irreps)
+        self._cols: list[tuple | None] = [None] * len(ctx.classes)
         self.fs = [self._fs_rule(pi) for pi in self.irreps]
 
     # -- irrep lists ------------------------------------------------------
@@ -194,19 +208,24 @@ class CharacterTable:
             return _merge([(-1, ext_pow(a, lam)), (-1, ext_pow(a, E.frobenius(lam)))])
         raise ValueError(f"unknown irrep kind {kind}")
 
-    def row(self, pi: Irrep) -> list[Monomials]:
+    def row(self, pi: Irrep) -> tuple[Monomials, ...]:
         """The values of pi on every class, in class order."""
-        return self._rows[self.irrep_index[pi]]
+        i = self.irrep_index[pi]
+        if self._rows[i] is None:
+            self._rows[i] = tuple(self._monomials(pi, c) for c in self.ctx.classes)
+        return self._rows[i]
 
-    def column(self, c: ConjClass) -> list[Monomials]:
+    def column(self, c: ConjClass) -> tuple[Monomials, ...]:
         """The values of every irrep on c, in irrep order."""
         ci = self.ctx.class_index[c]
-        return [row[ci] for row in self._rows]
+        if self._cols[ci] is None:
+            self._cols[ci] = tuple(self._monomials(pi, c) for pi in self.irreps)
+        return self._cols[ci]
 
     def value(self, pi: Irrep, c: ConjClass) -> CycNumber:
         if pi.group != self.group or c.group != self.group:
             raise ValueError("irrep/class from a different group context")
-        return CycNumber.from_monomials(self.n, self.row(pi)[self.ctx.class_index[c]])
+        return CycNumber.from_monomials(self.n, self._monomials(pi, c))
 
     # -- Frobenius-Schur ----------------------------------------------------
 
@@ -238,8 +257,8 @@ class CharacterTable:
         F = ctx.field
         row = self.row(pi)
         squares = [row[ctx.class_index[ctx.classify(mat_mul(F, m, m))]] for m in ctx.reps]
-        r = monomial_sum(self.n, ctx.sizes, [squares]).as_rational()
-        assert r is not None and r % self.order == 0, "FS sum must be an integer"
+        r = rational_sum(self.n, ctx.sizes, [squares])
+        assert r % self.order == 0, "FS sum must be an integer"
         return int(r) // self.order
 
     # -- duals and tensor twists -------------------------------------------
@@ -277,10 +296,7 @@ class CharacterTable:
 
     def _bracket(self, pis) -> Fraction:
         """(1/|G|) sum over g of the product of the (unconjugated) characters."""
-        r = monomial_sum(self.n, self.ctx.sizes, [self.row(pi) for pi in pis]).as_rational()
-        if r is None:
-            raise ArithmeticError("character bracket is not rational: table bug")
-        return r / self.order
+        return rational_sum(self.n, self.ctx.sizes, [self.row(pi) for pi in pis]) / self.order
 
     def pair_bracket(self, p1: Irrep, p2: Irrep) -> Fraction:
         return self._bracket((p1, p2))

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .cyclo import CycNumber
 from .grp import ClassFunction, ConjClass, mat_inv
-from .reptheory import CharacterTable, Irrep, Monomials, monomial_sum
+from .reptheory import CharacterTable, Irrep, Monomials, rational_sum
 from .zeta import zeta as zeta_sum, zeta_double, zeta_insert
 
 
@@ -46,10 +46,6 @@ class HomCount:
 
 
 def _as_count(value, what: str) -> int:
-    if isinstance(value, CycNumber):
-        value = value.as_rational()
-        if value is None:
-            raise ArithmeticError(f"{what} is not rational: table bug")
     value = Fraction(value)
     if value.denominator != 1 or value < 0:
         raise ArithmeticError(f"{what} = {value} is not a non-negative integer")
@@ -83,7 +79,7 @@ def hom_count(table: CharacterTable, spec: SurfaceSpec) -> HomCount:
         for fs, d in zip(table.fs, table.dims)
     ]
     cols = [table.column(c) for c in spec.boundaries]
-    total = weight * monomial_sum(table.n, weights, cols).as_rational()
+    total = weight * rational_sum(table.n, weights, cols)
     return HomCount(_as_count(total, "hom count"), "raw |X|")
 
 
@@ -235,7 +231,7 @@ def quotient_count(table: CharacterTable, spec: SurfaceSpec) -> HomCount:
     for c in spec.boundaries:
         weight *= ctx.sizes[ctx.class_index[c]]
     exponent = (2 * g + r - 1) if spec.orientable else (g + r - 1)
-    total = CycNumber.zero(table.n)
+    total = Fraction(0)
     for host, kind_size in hosts.values():
         data = CentralizerData(table, host)
         if spec.orientable:
@@ -252,8 +248,8 @@ def quotient_count(table: CharacterTable, spec: SurfaceSpec) -> HomCount:
             s, col = data.induced_column(gamma)
             scale *= s
             cols.append(col)
-        total = total + monomial_sum(table.n, coefs, cols) * scale
-    total = total * weight
+        total += rational_sum(table.n, coefs, cols) * scale
+    total *= weight
     if r == 0 and spec.orientable:
         double = Fraction(order) ** (2 * g - 2) * zeta_double(table, 2 * g - 2)
         assert total == double, "centralizer sum disagrees with the double"
@@ -267,7 +263,7 @@ def theta_torus_spectral(table: CharacterTable) -> ClassFunction:
     """|G| * sum over pi of chi_pi / dim(pi), as exact class-function values."""
     weights = [Fraction(table.order, d) for d in table.dims]
     return ClassFunction(table.ctx, [
-        _as_count(monomial_sum(table.n, weights, [table.column(c)]), "theta_torus value")
+        _as_count(rational_sum(table.n, weights, [table.column(c)]), "theta_torus value")
         for c in table.ctx.classes
     ])
 
@@ -275,7 +271,7 @@ def theta_torus_spectral(table: CharacterTable) -> ClassFunction:
 def theta_square_spectral(table: CharacterTable) -> ClassFunction:
     """sum over pi of fs(pi) * chi_pi."""
     return ClassFunction(table.ctx, [
-        _as_count(monomial_sum(table.n, table.fs, [table.column(c)]), "theta_square value")
+        _as_count(rational_sum(table.n, table.fs, [table.column(c)]), "theta_square value")
         for c in table.ctx.classes
     ])
 
@@ -291,8 +287,8 @@ def class_indicator_spectral(table: CharacterTable, c: ConjClass) -> ClassFuncti
     ones = [1] * len(table.irreps)
     values = []
     for d in ctx.classes:
-        v = monomial_sum(table.n, ones, [inv_col, table.column(d)]).as_rational()
-        assert v is not None and (v * w).denominator == 1
+        v = rational_sum(table.n, ones, [inv_col, table.column(d)])
+        assert (v * w).denominator == 1
         values.append(int(v * w))
     return ClassFunction(ctx, values)
 

@@ -31,7 +31,7 @@ from .ffield import CapExceeded
 from .grp import GLContext, PGLContext, mat_mul
 from .oracle import CAYLEY_TABLE_CAP, DEFAULT_ELEMENT_CAP, GroupTable
 from .oracle import brute_hom_count, brute_quotient_count
-from .reptheory import CharacterTable, monomial_sum
+from .reptheory import CharacterTable, monomial_sum, rational_sum
 from .topo import SurfaceSpec, hom_count, quotient_count
 
 
@@ -261,8 +261,8 @@ def check_burnside_dims(s: _Session) -> str:
 def _element_average(char_table, table: GroupTable, counts, rows, what: str) -> int:
     """(1/|G|) sum over classes of an element count (from the enumeration)
     times a product of character rows."""
-    val = monomial_sum(char_table.n, counts, rows).as_rational()
-    if val is None or val % table.n:
+    val = rational_sum(char_table.n, counts, rows)
+    if val % table.n:
         raise ArithmeticError(f"{what} sum is not an integer: table bug")
     return int(val) // table.n
 

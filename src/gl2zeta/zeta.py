@@ -13,6 +13,7 @@ carry the quadratic-character terms spelled out in `_insert_elliptic_*`.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from numbers import Integral
@@ -20,7 +21,7 @@ from numbers import Integral
 from .chars import epsilon_E_value, epsilon_value
 from .cyclo import CycNumber
 from .grp import ConjClass
-from .reptheory import CharacterTable, monomial_sum
+from .reptheory import CharacterTable, rational_sum
 
 
 class ClosedFormUnavailable(ValueError):
@@ -67,11 +68,8 @@ def zeta_insert(table: CharacterTable, insertions, s):
     n = table.n
     cols = [table.column(c) for c in insertions]
     if _is_int(s):
-        weights = [Fraction(d) ** (-(int(s) + r)) for d in table.dims]
-        val = monomial_sum(n, weights, cols).as_rational()
-        if val is None:
-            raise ArithmeticError("insertion zeta is not rational: table bug")
-        return val
+        powers = {d: Fraction(d) ** (-(int(s) + r)) for d in set(table.dims)}
+        return rational_sum(n, [powers[d] for d in table.dims], cols)
     total = 0j
     for i, d in enumerate(table.dims):
         term = complex(d) ** (-(s + r))
@@ -301,14 +299,15 @@ def zeta_double(table: CharacterTable, s):
     if table.group != "gl":
         raise ValueError("the double is computed for the GL context")
     ctx = table.ctx
+    dim_counts = Counter(table.dims)
     total = Fraction(0) if _is_int(s) else 0j
     for ci, c in enumerate(ctx.classes):
         cent = ctx.centralizer(c)
         osize = ctx.sizes[ci]
         if cent.structure == "full":
             # irreps of the full group, each Pi = (O, rho) of dim |O|*dim(rho)
-            for d in table.dims:
-                total += _ipow(osize * d, s)
+            for d, k in dim_counts.items():
+                total += k * _ipow(osize * d, s)
         else:
             # abelian centralizer: |C| one-dimensional characters
             total += cent.order * _ipow(osize, s)

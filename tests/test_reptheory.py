@@ -1,13 +1,16 @@
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from conftest import char_table, group_table
+from conftest import char_table, context, group_table
 from gl2zeta.cyclo import CycNumber
 from gl2zeta.grp import ConjClass
 from gl2zeta.verify import brute_fs, brute_fusion
-from gl2zeta.reptheory import Irrep, monomial_sum
+from gl2zeta.reptheory import CharacterTable, Irrep, monomial_sum, rational_sum
+from gl2zeta.zeta import zeta_insert
 
 ALL_Q = [2, 3, 4, 5, 7, 8, 9]
 
@@ -299,6 +302,118 @@ def test_monomial_sum_matches_naive_products(g, q):
             got = monomial_sum(T.n, weights, factor_lists)
             assert got == _naive_monomial_sum(T.n, weights, factor_lists), (r, weights)
     assert monomial_sum(T.n, irrep_weights, []) == sum(irrep_weights)
+
+
+def test_rational_sum_matches_monomial_sum():
+    T = char_table("gl", 4)
+    cols = [T.column(c) for c in T.ctx.classes[-2:]]
+    nirr = len(T.irreps)
+    # weights that depend on the dimension only keep every sum rational
+    for weights in (
+        [Fraction(d + 2, 7 - d) for d in T.dims],  # Fractions
+        [d - 3 for d in T.dims],  # ints, zero on dimension 3
+        [0] * nirr,
+        [Fraction(1, d) if d % 2 else d for d in T.dims],  # mixed
+    ):
+        for r in range(3):
+            got = rational_sum(T.n, weights, cols[:r])
+            assert isinstance(got, Fraction)
+            assert got == monomial_sum(T.n, weights, cols[:r]).as_rational()
+    # one elliptic value of a cuspidal irrep is not rational
+    cusp = T.irreps.index(next(pi for pi in T.irreps if pi.kind == "cuspidal"))
+    picked = [1 if t == cusp else 0 for t in range(nirr)]
+    assert monomial_sum(T.n, picked, cols[:1]).as_rational() is None
+    with pytest.raises(ArithmeticError):
+        rational_sum(T.n, picked, cols[:1])
+    with pytest.raises(ArithmeticError):
+        rational_sum(8, [Fraction(1, 2)], [[((1, 1),)]])
+
+
+def _count_monomials(monkeypatch) -> list:
+    calls = [0]
+    original = CharacterTable._monomials
+
+    def counted(self, pi, c):
+        calls[0] += 1
+        return original(self, pi, c)
+
+    monkeypatch.setattr(CharacterTable, "_monomials", counted)
+    return calls
+
+
+@pytest.mark.parametrize("g,q", [("gl", 5), ("gl", 16), ("pgl", 9)])
+def test_table_construction_builds_no_cell(monkeypatch, g, q):
+    calls = _count_monomials(monkeypatch)
+    T = CharacterTable(context(g, q))
+    assert calls[0] == 0
+    assert len(T.dims) == len(T.fs) == len(T.irrep_index) == len(T.ctx.classes)
+
+
+@pytest.mark.parametrize("g,q", [("gl", 7), ("pgl", 9)])
+def test_zeta_insert_builds_one_column_per_insertion(monkeypatch, g, q):
+    calls = _count_monomials(monkeypatch)
+    T = CharacterTable(context(g, q))
+    classes = [c for c in T.ctx.classes if c.kind in ("diagonal", "elliptic")]
+    built = 0
+    for r in (1, 2, 3):
+        insertions = classes[built : built + r]
+        zeta_insert(T, insertions, 1)
+        assert calls[0] == (built + r) * len(T.irreps)
+        zeta_insert(T, insertions, 2)  # memoised: no new cell
+        assert calls[0] == (built + r) * len(T.irreps)
+        built += r
+
+
+@pytest.mark.parametrize("g,q", [("gl", q) for q in ALL_Q] + [("pgl", q) for q in ALL_Q[1:]])
+def test_lazy_cells_equal_monomial_grid(g, q):
+    ctx = context(g, q)
+    reference = CharacterTable(ctx)
+    grid = [[reference._monomials(pi, c) for c in ctx.classes] for pi in reference.irreps]
+    for rows_first in (True, False):
+        T = CharacterTable(ctx)
+        for _ in range(2):  # the second pass reads the memoised tuples
+            if rows_first:
+                rows = [T.row(pi) for pi in T.irreps]
+                cols = [T.column(c) for c in ctx.classes]
+            else:
+                cols = [T.column(c) for c in ctx.classes]
+                rows = [T.row(pi) for pi in T.irreps]
+            assert all(isinstance(x, tuple) for x in rows + cols)
+            assert rows == [tuple(r) for r in grid]
+            assert cols == [tuple(r[ci] for r in grid) for ci in range(len(ctx.classes))]
+        for i, pi in enumerate(T.irreps):
+            for ci, c in enumerate(ctx.classes):
+                assert T.value(pi, c) == CycNumber.from_monomials(T.n, grid[i][ci])
+
+
+def test_lazy_table_shared_across_threads():
+    ctx = context("gl", 7)
+    reference = CharacterTable(ctx)
+    want_rows = [tuple(reference._monomials(pi, c) for c in ctx.classes) for pi in reference.irreps]
+    want_cols = [tuple(r[ci] for r in want_rows) for ci in range(len(ctx.classes))]
+    T = CharacterTable(ctx)
+    results = []
+
+    def read(k):
+        # each thread starts at its own index; odd threads walk forwards, even backwards
+        order = list(range(len(T.irreps)))[k:] + list(range(len(T.irreps)))[:k]
+        for i in order if k % 2 else reversed(order):
+            assert T.row(T.irreps[i]) == want_rows[i]
+            assert T.column(ctx.classes[i]) == want_cols[i]
+        results.append(k)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(results) == list(range(6))
 
 
 @pytest.mark.parametrize("q", ALL_Q)
