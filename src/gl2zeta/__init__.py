@@ -1,7 +1,7 @@
 """Exact character tables, fusion rings and surface-counting zeta functions
 for GL(2,F_q) and PGL(2,F_q), with a brute-force enumeration oracle."""
 
-from .cyclo import CycNumber, Rational, cyclotomic_polynomial, root_of_unity
+from .cyclo import CycNumber, Rational, cyclotomic_polynomial
 from .ffield import CapExceeded, ExtField, Field, FieldError, build_extension, build_field, prime_power
 from .grp import ClassFunction, ConjClass, GLContext, PGLContext
 from .oracle import GroupTable, brute_hom_count, brute_quotient_count
@@ -51,7 +51,6 @@ __all__ = [
     "induced_char_value",
     "prime_power",
     "quotient_count",
-    "root_of_unity",
     "run_verify",
     "zeta",
     "zeta_closed_gl",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclo import CycNumber
 from .ffield import ExtField, FieldError
 
 
@@ -33,10 +32,6 @@ class MulChar:
     def pow(self, n: int) -> "MulChar":
         return MulChar(self.order, self.exponent * n)
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.exponent == 0
-
 
 @dataclass(frozen=True)
 class CharOrbit:
@@ -49,10 +44,6 @@ def base_chars(ext: ExtField) -> list[MulChar]:
     return [MulChar(ext.q - 1, a) for a in range(ext.q - 1)]
 
 
-def ext_chars(ext: ExtField) -> list[MulChar]:
-    return [MulChar(ext.order - 1, a) for a in range(ext.order - 1)]
-
-
 def value_power(chi: MulChar, x: int, ext: ExtField) -> int:
     """Exponent k with chi(x) = zeta^k, zeta the primitive (q^2-1)-th root."""
     q = ext.q
@@ -62,10 +53,6 @@ def value_power(chi: MulChar, x: int, ext: ExtField) -> int:
     if chi.order == q - 1:
         return (chi.exponent * ext.base.dlog(x) * (q + 1)) % n
     raise ValueError(f"character group of order {chi.order} does not match q = {q}")
-
-
-def value(chi: MulChar, x: int, ext: ExtField) -> CycNumber:
-    return CycNumber(ext.order - 1, {value_power(chi, x, ext): 1})
 
 
 def is_primitive(nu: MulChar, ext: ExtField) -> bool:
@@ -80,21 +67,6 @@ def restrict(nu: MulChar, ext: ExtField) -> MulChar:
     if nu.order != ext.order - 1:
         raise ValueError("can only restrict extension characters")
     return MulChar(ext.q - 1, nu.exponent)
-
-
-def norm_inflate(mu: MulChar, ext: ExtField) -> MulChar:
-    """mu o N as a character of the extension group."""
-    if mu.order != ext.q - 1:
-        raise ValueError("can only inflate base characters")
-    return MulChar(ext.order - 1, mu.exponent * (ext.q + 1))
-
-
-def quadratic_char(ext: ExtField) -> MulChar:
-    """The order-2 character of F_q^x (q odd): +1 exactly on squares."""
-    q = ext.q
-    if q % 2 == 0:
-        raise FieldError("the quadratic character needs q odd")
-    return MulChar(q - 1, (q - 1) // 2)
 
 
 def epsilon_E(ext: ExtField) -> MulChar:

@@ -240,6 +240,8 @@ def cmd_zeta(args) -> int:
     s = parse_s(args.s)
     insertions = [parse_classspec(ctx, spec) for spec in args.insert or []]
     fs_filter = {"+1": 1, "1": 1, "0": 0, "-1": -1}.get(args.fs) if args.fs else None
+    if fs_filter is not None and (insertions or args.double):
+        raise UsageError("--fs does not combine with --insert or --double")
     mode = args.mode
 
     def generic():

@@ -28,22 +28,6 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-@lru_cache(maxsize=None)
-def euler_phi(n: int) -> int:
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
 def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
     # Exact division of integer polynomials, constant coefficient first.
     num = list(num)
@@ -94,14 +78,10 @@ def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _norm_coeff(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
-
-
 class CycNumber:
-    """An element of Q(zeta_n)."""
+    """An element of Q(zeta_n), as a value: built from monomials, compared,
+    hashed, printed and evaluated as a float.  It has no arithmetic
+    operators; sums of character values go through `reptheory.monomial_sum`."""
 
     __slots__ = ("n", "_terms", "_canon_cache")
 
@@ -116,25 +96,13 @@ class CycNumber:
                     k %= n
                     nc = clean.get(k, 0) + c
                     if nc:
-                        clean[k] = _norm_coeff(nc)
+                        clean[k] = nc
                     elif k in clean:
                         del clean[k]
         self._terms = clean
         self._canon_cache = None
 
     # -- constructors ------------------------------------------------
-
-    @staticmethod
-    def zero(n: int) -> "CycNumber":
-        return CycNumber(n)
-
-    @staticmethod
-    def one(n: int) -> "CycNumber":
-        return CycNumber(n, {0: 1})
-
-    @staticmethod
-    def from_rational(n: int, value) -> "CycNumber":
-        return CycNumber(n, {0: Fraction(value)})
 
     @staticmethod
     def from_monomials(n: int, pairs) -> "CycNumber":
@@ -145,62 +113,6 @@ class CycNumber:
             power %= n
             acc[power] = acc.get(power, 0) + coef
         return CycNumber(n, acc)
-
-    # -- ring operations ----------------------------------------------
-
-    def _check(self, other: "CycNumber") -> None:
-        if self.n != other.n:
-            raise ValueError(f"conductor mismatch: {self.n} != {other.n}")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycNumber(self.n, {0: other})
-        if not isinstance(other, CycNumber):
-            return NotImplemented
-        self._check(other)
-        acc = dict(self._terms)
-        for k, c in other._terms.items():
-            acc[k] = acc.get(k, 0) + c
-        return CycNumber(self.n, acc)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CycNumber(self.n, {k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycNumber(self.n, {0: other})
-        if not isinstance(other, CycNumber):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return CycNumber(self.n)
-            return CycNumber(self.n, {k: c * other for k, c in self._terms.items()})
-        if not isinstance(other, CycNumber):
-            return NotImplemented
-        self._check(other)
-        acc: dict[int, object] = {}
-        n = self.n
-        for k1, c1 in self._terms.items():
-            for k2, c2 in other._terms.items():
-                k = k1 + k2
-                if k >= n:
-                    k -= n
-                acc[k] = acc.get(k, 0) + c1 * c2
-        return CycNumber(n, acc)
-
-    __rmul__ = __mul__
-
-    def conj(self) -> "CycNumber":
-        """Complex conjugate (zeta -> zeta^(-1))."""
-        return CycNumber(self.n, {-k % self.n: c for k, c in self._terms.items()})
 
     # -- canonical form and predicates ---------------------------------
 
@@ -215,7 +127,7 @@ class CycNumber:
                 for i in range(d):
                     if row[i]:
                         vec[i] += c * row[i]
-            self._canon_cache = tuple(_norm_coeff(c) for c in vec)
+            self._canon_cache = tuple(vec)
         return self._canon_cache
 
     @property
@@ -280,8 +192,3 @@ class CycNumber:
                 parts.append(f"{c}*z{self.n}^{i}")
         out = "+".join(parts)
         return out.replace("+-", "-")
-
-
-def root_of_unity(n: int, k: int = 1) -> CycNumber:
-    """zeta_n^k."""
-    return CycNumber(n, {k % n: 1})

@@ -54,10 +54,6 @@ def mat_scale(F: Field, s: int, m: Mat) -> Mat:
     return tuple(F.mul(s, x) for x in m)
 
 
-def mat_conj(F: Field, p: Mat, m: Mat) -> Mat:
-    return mat_mul(F, mat_mul(F, p, m), mat_inv(F, p))
-
-
 # -- classes ---------------------------------------------------------------
 
 

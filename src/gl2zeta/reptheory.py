@@ -65,6 +65,11 @@ def rational_sum(n: int, weights, factor_lists) -> Fraction:
     return r / den
 
 
+def conjugate(monomial_lists, n: int) -> list:
+    """Complex conjugates of a list of monomial tuples: zeta^k -> zeta^-k."""
+    return [tuple((c, -k % n) for c, k in monos) for monos in monomial_lists]
+
+
 def _merge(pairs) -> Monomials:
     acc: dict[int, int] = {}
     for c, k in pairs:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .cyclo import CycNumber
 from .grp import ClassFunction, ConjClass, mat_inv
-from .reptheory import CharacterTable, Irrep, Monomials, rational_sum
+from .reptheory import CharacterTable, Irrep, Monomials, conjugate, rational_sum
 from .zeta import zeta as zeta_sum, zeta_double, zeta_insert
 
 
@@ -206,7 +206,7 @@ def induced_char_value(
     if data.structure == "full":
         return table.value(rho.irrep, gamma)
     scale = Fraction(table.ctx.centralizer(gamma).order, data.order)
-    return CycNumber.from_monomials(table.n, data.meet_sum(rho, gamma)) * scale
+    return CycNumber.from_monomials(table.n, [(c * scale, k) for c, k in data.meet_sum(rho, gamma)])
 
 
 # -- quotient counts -------------------------------------------------------------
@@ -298,30 +298,19 @@ def convolve_spectral(
 ) -> ClassFunction:
     """Counting convolution computed in the Fourier basis, where it is
     diagonal: coefficients multiply with a |G|/dim factor."""
-    ctx = table.ctx
     fc = fourier_coefficients(table, f)
     gc = fourier_coefficients(table, g)
-    values = []
-    for c in ctx.classes:
-        acc = CycNumber.zero(table.n)
-        for i, pi in enumerate(table.irreps):
-            coef = fc[i] * gc[i] * Fraction(table.order, table.dims[i])
-            acc = acc + table.value(pi, c) * coef
-        values.append(acc)
-    return ClassFunction(ctx, values)
+    weights = [a * b * Fraction(table.order, d) for a, b, d in zip(fc, gc, table.dims)]
+    return ClassFunction(table.ctx, [
+        rational_sum(table.n, weights, [table.column(c)]) for c in table.ctx.classes
+    ])
 
 
-def fourier_coefficients(table: CharacterTable, f: ClassFunction) -> list:
-    """<f, chi_pi> = (1/|G|) sum over g of f(g) conj(chi_pi(g))."""
-    ctx = table.ctx
-    out = []
-    for pi in table.irreps:
-        acc = CycNumber.zero(table.n)
-        for ci, c in enumerate(ctx.classes):
-            v = f.values[ci]
-            if isinstance(v, CycNumber):
-                acc = acc + v * table.value(pi, c).conj() * ctx.sizes[ci]
-            elif v:
-                acc = acc + table.value(pi, c).conj() * (v * ctx.sizes[ci])
-        out.append(acc * Fraction(1, table.order))
-    return out
+def fourier_coefficients(table: CharacterTable, f: ClassFunction) -> list[Fraction]:
+    """<f, chi_pi> = (1/|G|) sum over g of f(g) conj(chi_pi(g)), for a
+    rational-valued f; raises ArithmeticError when a coefficient is not rational."""
+    weights = [size * v for size, v in zip(table.ctx.sizes, f.values)]
+    return [
+        rational_sum(table.n, weights, [conjugate(table.row(pi), table.n)]) / table.order
+        for pi in table.irreps
+    ]

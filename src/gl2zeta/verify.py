@@ -31,7 +31,7 @@ from .ffield import CapExceeded
 from .grp import GLContext, PGLContext, mat_mul
 from .oracle import CAYLEY_TABLE_CAP, DEFAULT_ELEMENT_CAP, GroupTable
 from .oracle import brute_hom_count, brute_quotient_count
-from .reptheory import CharacterTable, monomial_sum, rational_sum
+from .reptheory import CharacterTable, conjugate, monomial_sum, rational_sum
 from .topo import SurfaceSpec, hom_count, quotient_count
 
 
@@ -222,25 +222,20 @@ def check_involutions(s: _Session) -> str:
     return "t = q^2-1 (q even) / q^2+q+1 (q odd); 1 + t = sum of real-irrep dims"
 
 
-def _conjugate(monomial_lists, n: int) -> list:
-    """Complex conjugates of a list of monomial tuples: zeta^k -> zeta^-k."""
-    return [tuple((c, -k % n) for c, k in monos) for monos in monomial_lists]
-
-
 @_check("character-table-orthogonality")
 def check_orthogonality(s: _Session) -> str:
     for T in s.tables():
         ctx = T.ctx
         n = T.n
         rows = [T.row(pi) for pi in T.irreps]
-        conj_rows = [_conjugate(row, n) for row in rows]
+        conj_rows = [conjugate(row, n) for row in rows]
         nirr = len(T.irreps)
         for i in range(nirr):
             for j in range(i, nirr):
                 got = monomial_sum(n, ctx.sizes, [rows[i], conj_rows[j]])
                 assert got == (T.order if i == j else 0)
         cols = [T.column(c) for c in ctx.classes]
-        conj_cols = [_conjugate(col, n) for col in cols]
+        conj_cols = [conjugate(col, n) for col in cols]
         ones = [1] * nirr
         ncls = len(ctx.classes)
         for a in range(ncls):
@@ -529,9 +524,7 @@ def check_convolution(s: _Session) -> str:
     sq = table.theta_square()
     spec_conv = topo.convolve_spectral(T, th, sq)
     enum_conv = table.convolve(th, sq)
-    for ci, c in enumerate(T.ctx.classes):
-        v = spec_conv.values[ci]
-        assert v.as_rational() == enum_conv.values[ci]
+    assert spec_conv.values == enum_conv.values
     # class indicator expansion
     for c in T.ctx.classes[:4]:
         ind = topo.class_indicator_spectral(T, c)
@@ -580,6 +573,6 @@ def run_verify(q: int, deep: bool = False) -> list[CheckResult]:
             results.append(CheckResult(name, "pass", note))
         except CapExceeded as exc:
             results.append(CheckResult(name, "skip", str(exc)))
-        except AssertionError as exc:
+        except (AssertionError, ArithmeticError) as exc:
             results.append(CheckResult(name, "fail", str(exc)))
     return results

@@ -27,3 +27,17 @@ def group_table(group: str, q: int) -> GroupTable:
     if key not in _group_cache:
         _group_cache[key] = GroupTable(context(group, q))
     return _group_cache[key]
+
+
+def cyc_product(n: int, *factors) -> dict:
+    """The product in Q(zeta_n) of factors given as (coefficient, power) pairs,
+    as a {power: coefficient} dict; a reference independent of the library's sums."""
+    acc = {0: 1}
+    for factor in factors:
+        nxt = {}
+        for k1, c1 in acc.items():
+            for c2, k2 in factor:
+                k = (k1 + k2) % n
+                nxt[k] = nxt.get(k, 0) + c1 * c2
+        acc = nxt
+    return acc

@@ -165,7 +165,7 @@ def test_criterion_6_character_tables():
                             for c2, k2 in rows[j][ci]:
                                 k = (k1 - k2) % n
                                 acc[k] = acc.get(k, 0) + w * c1 * c2
-                    got = (CycNumber(n, acc) * Fraction(1, T.order)).as_rational()
+                    got = CycNumber(n, {k: Fraction(c, T.order) for k, c in acc.items()}).as_rational()
                     assert got == (1 if i == j else 0), (g, q, i, j)
             ncls = len(ctx.classes)
             cols = [T.column(c) for c in ctx.classes]

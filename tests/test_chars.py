@@ -5,7 +5,7 @@ import pytest
 from gl2zeta import chars
 from gl2zeta.chars import MulChar
 from gl2zeta.cyclo import CycNumber
-from gl2zeta.ffield import FieldError, build_extension, build_field, prime_power
+from gl2zeta.ffield import build_extension, build_field, prime_power
 
 IDENTITY_QS = [3, 4, 5, 7, 8, 9]
 
@@ -15,10 +15,14 @@ def ext(q):
     return build_extension(build_field(p, e))
 
 
+def value(chi, x, E):
+    """chi(x) in Q(zeta_n), n = q^2 - 1."""
+    return CycNumber(E.order - 1, {chars.value_power(chi, x, E): 1})
+
+
 def test_char_counts():
     E = ext(3)
     assert len(chars.base_chars(E)) == 2  # {1, eps}
-    assert len(chars.ext_chars(E)) == 8
     assert len(chars.base_chars(ext(2))) == 1  # trivial group
 
 
@@ -35,29 +39,30 @@ def test_primitivity():
     assert chars.is_primitive(MulChar(8, 1), E)
     assert not chars.is_primitive(MulChar(8, 4), E)  # q+1 = 4 divides 4
     # primitive <=> not a norm inflation
-    inflated = {chars.norm_inflate(mu, E).exponent for mu in chars.base_chars(E)}
+    inflated = {mu.exponent * (E.q + 1) % 8 for mu in chars.base_chars(E)}
     for a in range(8):
         assert chars.is_primitive(MulChar(8, a), E) == (a not in inflated)
 
 
 def test_restriction():
     E = ext(3)
-    assert chars.restrict(MulChar(8, 0), E).is_trivial
+    assert chars.restrict(MulChar(8, 0), E).exponent == 0
     # exponent q-1 = 2 is trivial on the base field
-    assert chars.restrict(MulChar(8, 2), E).is_trivial
+    assert chars.restrict(MulChar(8, 2), E).exponent == 0
     # odd exponents restrict to the quadratic character
-    assert chars.restrict(MulChar(8, 1), E) == chars.quadratic_char(E)
-    # restriction of a norm inflation is the square
+    assert chars.restrict(MulChar(8, 1), E) == MulChar(2, 1)
+    # restriction of a norm inflation mu o N (exponent times q+1) is the square
     for q in (3, 5, 7):
         Eq = ext(q)
         for mu in chars.base_chars(Eq):
-            assert chars.restrict(chars.norm_inflate(mu, Eq), Eq) == mu.pow(2)
+            inflated = MulChar(Eq.order - 1, mu.exponent * (q + 1))
+            assert chars.restrict(inflated, Eq) == mu.pow(2)
 
 
 def test_restriction_pointwise():
     for q in (3, 4, 5):
         E = ext(q)
-        for nu in chars.ext_chars(E):
+        for nu in (MulChar(E.order - 1, a) for a in range(E.order - 1)):
             mu = chars.restrict(nu, E)
             for x in range(1, q):
                 assert chars.value_power(nu, E.embed(x), E) == chars.value_power(
@@ -67,12 +72,10 @@ def test_restriction_pointwise():
 
 def test_quadratic_char():
     E = ext(3)
-    eps = chars.quadratic_char(E)
-    assert chars.value(eps, 1, E).as_rational() == 1
-    assert chars.value(eps, 2, E).as_rational() == -1  # 2 is not a square mod 3
+    eps = MulChar(2, 1)  # the order-2 character of F_3^x
+    assert value(eps, 1, E).as_rational() == 1
+    assert value(eps, 2, E).as_rational() == -1  # 2 is not a square mod 3
     assert chars.epsilon_value(E, 2) == -1
-    with pytest.raises(FieldError):
-        chars.quadratic_char(ext(4))
 
 
 def test_epsilon_E():
@@ -81,13 +84,13 @@ def test_epsilon_E():
         epsE = chars.epsilon_E(E)
         # trivial on the base field: every base element is a square upstairs
         for x in range(1, q):
-            assert chars.value(epsE, E.embed(x), E).as_rational() == 1
+            assert value(epsE, E.embed(x), E).as_rational() == 1
             assert chars.epsilon_E_value(E, E.embed(x)) == 1
         # matches square-ness and the quadratic character of the norm
         for lam in E.elements():
             if lam == 0:
                 continue
-            v = chars.value(epsE, lam, E).as_rational()
+            v = value(epsE, lam, E).as_rational()
             assert v == chars.epsilon_E_value(E, lam)
             assert v == (1 if E.is_square(lam) else -1)
             assert v == chars.epsilon_value(E, E.norm(lam))
@@ -108,7 +111,7 @@ def test_orbit_counts(q, m, n):
     for o in N:
         a = o.rep.exponent
         assert chars.is_primitive(o.rep, E)
-        assert chars.restrict(o.rep, E).is_trivial
+        assert chars.restrict(o.rep, E).exponent == 0
         assert (a * q) % ne == (-a) % ne
 
 

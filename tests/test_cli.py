@@ -253,3 +253,14 @@ def test_json_output_is_strict():
 def test_fusion_csv_is_a_usage_error(capsys):
     assert one_line_error(capsys, "fusion", "--q", "3", "--triple", "steinberg:0",
                           "steinberg:0", "steinberg:0", "--format", "csv") == 1
+
+
+def test_fs_with_insert_is_a_usage_error(capsys):
+    # --fs filters the plain zeta sum only; it must not be dropped silently
+    assert one_line_error(capsys, "zeta", "--q", "4", "--s", "2", "--fs", "+1",
+                          "--insert", "c1:0") == 1
+
+
+def test_fs_with_double_is_a_usage_error(capsys):
+    assert one_line_error(capsys, "zeta", "--q", "4", "--s", "2", "--fs", "+1",
+                          "--double") == 1

@@ -5,7 +5,12 @@ import pytest
 
 from conftest import context
 from gl2zeta.ffield import FieldError
-from gl2zeta.grp import ConjClass, mat_conj, mat_det, mat_mul, mat_scale
+from gl2zeta.grp import ConjClass, mat_det, mat_inv, mat_mul, mat_scale
+
+
+def mat_conj(F, p, m):
+    """p m p^-1."""
+    return mat_mul(F, mat_mul(F, p, m), mat_inv(F, p))
 
 
 def test_gl_class_counts_and_sizes():

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import char_table, group_table
+from conftest import char_table, cyc_product, group_table
 from gl2zeta.cyclo import CycNumber
-from gl2zeta.grp import ConjClass, mat_inv, mat_mul
+from gl2zeta.grp import ClassFunction, ConjClass, mat_inv, mat_mul
 from gl2zeta.oracle import brute_hom_count, brute_quotient_count
+from gl2zeta.reptheory import rational_sum
 from gl2zeta.topo import (
     CentralizerData,
     HomCount,
@@ -237,9 +238,9 @@ def _conjugates(ctx, gamma):
 
 
 def _lift(z, m):
-    """z in Q(zeta_n) as an element of Q(zeta_m), n | m."""
+    """z in Q(zeta_n) as (coefficient, power) pairs in Q(zeta_m), n | m."""
     step = m // z.n
-    return CycNumber(m, {i * step: c for i, c in enumerate(z.coeffs) if c})
+    return [(c, i * step) for i, c in enumerate(z.coeffs) if c]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -270,8 +271,9 @@ def test_induced_matches_enumerated_reference(q):
                     acc[i][k] += cnt
             assert members % ctx.centralizer(gamma).order == 0
             for rho, terms in zip(chars, acc):
-                want = CycNumber(P, terms) * Fraction(1, data.order)
-                assert _lift(induced_char_value(T, host, rho, gamma), P) == want
+                want = CycNumber(P, {k: Fraction(c, data.order) for k, c in terms.items()})
+                got = CycNumber.from_monomials(P, _lift(induced_char_value(T, host, rho, gamma), P))
+                assert got == want
 
 
 def test_induced_from_whole_group_is_character():
@@ -344,10 +346,10 @@ def test_induced_character_fourier_lemma():
             gi = ctx.class_index[gamma]
             for h, powers in members:
                 lhs = 1 if ctx.class_index[ctx.classify(h)] == gi else 0
-                rhs = CycNumber.zero(P)
+                rhs = []
                 for k, tr in zip(powers, traces):
-                    rhs = rhs + CycNumber(P, {k: 1}) * tr
-                assert (rhs * Fraction(1, cgamma)).as_rational() == lhs
+                    rhs += [(Fraction(c, cgamma), j) for j, c in cyc_product(P, [(1, k)], tr).items()]
+                assert CycNumber.from_monomials(P, rhs).as_rational() == lhs
 
 
 # -- spectral class functions ---------------------------------------------------
@@ -369,34 +371,50 @@ def test_class_indicator_expansion():
 
 
 def test_spectral_convolution_matches_element_level():
-    T = char_table("gl", 3)
-    G = group_table("gl", 3)
-    th = G.theta_torus()
-    sq = G.theta_square()
-    spectral = convolve_spectral(T, th, sq)
-    element = G.convolve(th, sq)
-    for ci in range(len(T.ctx.classes)):
-        assert spectral.values[ci].as_rational() == element.values[ci]
+    for g, q in (("gl", 3), ("gl", 5), ("pgl", 5)):
+        T = char_table(g, q)
+        G = group_table(g, q)
+        th = G.theta_torus()
+        sq = G.theta_square()
+        spectral = convolve_spectral(T, th, sq)
+        element = G.convolve(th, sq)
+        for ci in range(len(T.ctx.classes)):
+            assert spectral.values[ci] == element.values[ci], (g, q, ci)
+
+
+def _power_parts(T, pi) -> dict:
+    """chi_pi = sum over k of zeta^k e_k, with integer-valued class functions e_k."""
+    parts = {}
+    for ci, monos in enumerate(T.row(pi)):
+        for a, k in monos:
+            parts.setdefault(k, [0] * len(T.ctx.classes))[ci] += a
+    return {k: ClassFunction(T.ctx, vals) for k, vals in parts.items()}
 
 
 def test_characters_convolve_diagonally():
-    """chi * chi' = [pi = pi'] (|G|/dim) chi under the counting convolution."""
+    """chi * chi' = [pi = pi'] (|G|/dim) chi under the counting convolution;
+    the element-level convolution is bilinear, so it runs on the integer
+    coefficient functions of each power of zeta."""
     T = char_table("gl", 3)
     G = group_table("gl", 3)
-    from gl2zeta.oracle import ClassFunction
-
     for i, pi in enumerate(T.irreps[:4]):
-        f = ClassFunction(T.ctx, [T.value(pi, c) for c in T.ctx.classes])
+        f = _power_parts(T, pi)
         for j, rho in enumerate(T.irreps[:4]):
-            h = ClassFunction(T.ctx, [T.value(rho, c) for c in T.ctx.classes])
-            conv = G.convolve(f, h)
+            h = _power_parts(T, rho)
+            conv = [[] for _ in T.ctx.classes]
+            for k, fk in f.items():
+                for l, hl in h.items():
+                    for ci, v in enumerate(G.convolve(fk, hl).values):
+                        conv[ci].append((v, k + l))
             for ci, c in enumerate(T.ctx.classes):
                 want = (
-                    T.value(pi, c) * Fraction(T.order, T.dims[i])
+                    CycNumber.from_monomials(
+                        T.n, [(a * Fraction(T.order, T.dims[i]), k) for a, k in T.row(pi)[ci]]
+                    )
                     if i == j
-                    else CycNumber.zero(T.n)
+                    else CycNumber(T.n)
                 )
-                assert conv.values[ci] == want
+                assert CycNumber.from_monomials(T.n, conv[ci]) == want
 
 
 def test_fourier_coefficients_recover_function():
@@ -405,10 +423,16 @@ def test_fourier_coefficients_recover_function():
     th = G.theta_square()
     coeffs = fourier_coefficients(T, th)
     for ci, c in enumerate(T.ctx.classes):
-        acc = CycNumber.zero(T.n)
-        for coef, pi in zip(coeffs, T.irreps):
-            acc = acc + coef * T.value(pi, c)
-        assert acc.as_rational() == th.values[ci]
+        assert rational_sum(T.n, coeffs, [T.column(c)]) == th.values[ci]
     # theta_square Fourier coefficients are exactly the FS indicators
-    for coef, pi in zip(coeffs, T.irreps):
-        assert coef.as_rational() == T.fs_indicator(pi)
+    assert coeffs == T.fs
+
+
+def test_fourier_coefficients_of_irrational_function_raise():
+    """The indicator of an elliptic class has the irrational coefficients
+    (|O|/|G|) conj(chi_pi(gamma)) on the cuspidal irreps."""
+    T = char_table("gl", 3)
+    G = group_table("gl", 3)
+    elliptic = next(c for c in T.ctx.classes if c.kind == "elliptic")
+    with pytest.raises(ArithmeticError):
+        fourier_coefficients(T, G.class_indicator(elliptic))

@@ -1,5 +1,10 @@
+import json
+
 import pytest
 
+from gl2zeta import verify
+from gl2zeta.cli import main
+from gl2zeta.reptheory import rational_sum
 from gl2zeta.verify import CHECKS, run_verify
 
 
@@ -26,3 +31,25 @@ def test_verify_larger_q_skips_not_fails():
     assert not [r.name for r in results if r.status == "fail"]
     # oracle-backed checks are skipped at this size, never silently downgraded
     assert any(r.status == "skip" for r in results)
+
+
+def test_arithmetic_error_is_a_failed_check(monkeypatch, capsys):
+    """A non-rational class sum (a table bug) fails its check by name; the
+    suite goes on, and the CLI reports it with exit code 2."""
+
+    @verify._check("non-rational-sum")
+    def check_non_rational(s):
+        rational_sum(8, [1], [[((1, 1),)]])  # zeta_8 is not rational
+
+    monkeypatch.setattr(verify, "CHECKS", [check_non_rational, verify.check_dlog])
+    results = run_verify(2)
+    assert [(r.name, r.status) for r in results] == [
+        ("non-rational-sum", "fail"),
+        ("dlog-homomorphism", "pass"),
+    ]
+    assert results[0].note == "character-table sum is not rational: table bug"
+    assert main(["verify", "--q", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    doc = json.loads(captured.out)
+    assert (doc["passed"], doc["failed"], doc["skipped"]) == (1, 1, 0)
