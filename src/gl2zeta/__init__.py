@@ -1,7 +1,7 @@
 """Exact character tables, fusion rings and surface-counting zeta functions
 for GL(2,F_q) and PGL(2,F_q), with a brute-force enumeration oracle."""
 
-from .cyclo import CycNumber, Rational, cyclotomic_polynomial
+from .cyclo import CycNumber, cyclotomic_polynomial
 from .ffield import CapExceeded, ExtField, Field, FieldError, build_extension, build_field, prime_power
 from .grp import ClassFunction, ConjClass, GLContext, PGLContext
 from .oracle import GroupTable, brute_hom_count, brute_quotient_count
@@ -40,7 +40,6 @@ __all__ = [
     "HomCount",
     "Irrep",
     "PGLContext",
-    "Rational",
     "SurfaceSpec",
     "brute_hom_count",
     "brute_quotient_count",

@@ -62,20 +62,6 @@ def is_primitive(nu: MulChar, ext: ExtField) -> bool:
     return nu.exponent % (ext.q + 1) != 0
 
 
-def restrict(nu: MulChar, ext: ExtField) -> MulChar:
-    """Restriction of an extension character to F_q^x."""
-    if nu.order != ext.order - 1:
-        raise ValueError("can only restrict extension characters")
-    return MulChar(ext.q - 1, nu.exponent)
-
-
-def epsilon_E(ext: ExtField) -> MulChar:
-    """The order-2 character of F_{q^2}^x (q odd)."""
-    if ext.q % 2 == 0:
-        raise FieldError("epsilon_E needs q odd")
-    return MulChar(ext.order - 1, (ext.order - 1) // 2)
-
-
 def epsilon_value(ext: ExtField, x: int) -> int:
     """ε(x) as an integer ±1, for x in F_q^x (q odd)."""
     if x == 0:

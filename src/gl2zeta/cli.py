@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error (including arguments outside a
-formula's domain), 2 verification mismatch, 3 enumeration cap exceeded.
+formula's domain), 2 verification mismatch or a failed internal exactness
+check, 3 enumeration cap exceeded.
 
 Field elements on the command line are addressed by discrete log against
 the canonical primitive root (g for F_q, G for the quadratic extension).
@@ -242,6 +243,8 @@ def cmd_zeta(args) -> int:
     fs_filter = {"+1": 1, "1": 1, "0": 0, "-1": -1}.get(args.fs) if args.fs else None
     if fs_filter is not None and (insertions or args.double):
         raise UsageError("--fs does not combine with --insert or --double")
+    if insertions and args.double:
+        raise UsageError("--double does not combine with --insert")
     mode = args.mode
 
     def generic():
@@ -549,6 +552,10 @@ def main(argv=None) -> int:
         # an out-of-range genus) and float s too large in magnitude
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (ArithmeticError, AssertionError) as exc:
+        # an inexact count or a failed internal consistency check: a table bug
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

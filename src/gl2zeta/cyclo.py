@@ -13,8 +13,6 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 
-Rational = Fraction
-
 
 def divisors(n: int) -> list[int]:
     small, large = [], []

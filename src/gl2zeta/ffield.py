@@ -184,10 +184,6 @@ class Field:
             x = x * self.p + c
         return x
 
-    def element_key(self, x: int) -> tuple[int, ...]:
-        """Canonical ordering key (coefficient vector, constant first)."""
-        return self.coeffs(x)
-
     def elements(self) -> list[int]:
         """All elements in canonical order."""
         return list(self._canonical)
@@ -338,6 +334,11 @@ class ExtField:
         assert self._dlog[self.embed(base.g)] % (self.order - 1) == (q + 1) % (
             self.order - 1
         ), "norm-compatible generator bookkeeping"
+        # the character table reads dlog_F(N lam) = dlog_E(lam) mod q-1 and
+        # dlog_E(lam^q) = q*dlog_E(lam) off these two facts
+        assert self.norm(self.G) == base.g and self.frobenius(self.G) == exp[q], (
+            "generator norm and Frobenius"
+        )
 
     # -- encoding ------------------------------------------------------
 
@@ -352,10 +353,6 @@ class ExtField:
 
     def in_base(self, lam: int) -> bool:
         return lam % self.q == 0
-
-    def element_key(self, lam: int):
-        a, b = self.unpack(lam)
-        return (self.base.element_key(a), self.base.element_key(b))
 
     def elements(self) -> list[int]:
         base_order = self.base.elements()

@@ -114,22 +114,26 @@ class GLContext:
         classes: list[ConjClass] = []
         sizes: list[int] = []
         reps: list[Mat] = []
+        dlogs: list[tuple] = []
         for k in range(q - 1):
             x = F.from_dlog(k)
             classes.append(ConjClass("gl", "central", (x,)))
             sizes.append(1)
             reps.append((x, 0, 0, x))
+            dlogs.append((k,))
         for k in range(q - 1):
             x = F.from_dlog(k)
             classes.append(ConjClass("gl", "unipotent", (x,)))
             sizes.append((q - 1) * (q + 1))
             reps.append((x, 1, 0, x))
+            dlogs.append((k,))
         for i in range(q - 1):
             for j in range(i + 1, q - 1):
                 x, y = F.from_dlog(i), F.from_dlog(j)
                 classes.append(ConjClass("gl", "diagonal", (x, y)))
                 sizes.append(q * (q + 1))
                 reps.append((x, 0, 0, y))
+                dlogs.append((i, j))
         for k in range(E.order - 1):
             lam = E.from_dlog(k)
             if E.in_base(lam):
@@ -139,11 +143,15 @@ class GLContext:
             classes.append(ConjClass("gl", "elliptic", (lam,)))
             sizes.append(q * (q - 1))
             reps.append(self.elliptic_rep(lam))
+            dlogs.append((k,))
         assert len(classes) == q * q - 1
         assert sum(sizes) == self.order
         self.classes = classes
         self.sizes = sizes
         self.reps = reps
+        # discrete logs of the class parameters, in class order: dlog_F of the
+        # eigenvalues for central/unipotent/diagonal, dlog_E of lam for elliptic
+        self.dlogs = dlogs
         self.class_index = {c: i for i, c in enumerate(classes)}
 
     def elliptic_rep(self, lam: int) -> Mat:
@@ -174,9 +182,6 @@ class GLContext:
 
     def representative(self, c: ConjClass) -> Mat:
         return self.reps[self.class_index[c]]
-
-    def class_size(self, c: ConjClass) -> int:
-        return self.sizes[self.class_index[c]]
 
     def classify(self, m: Mat) -> ConjClass:
         F = self.field
@@ -245,6 +250,7 @@ class PGLContext:
         classes = [ConjClass("pgl", "identity", ()), ConjClass("pgl", "unipotent", ())]
         sizes = [1, q * q - 1]
         reps = [(1, 0, 0, 1), (1, 1, 0, 1)]
+        dlogs = [(0,), (0,)]  # GL coordinates of the lifts I, [[1,1],[0,1]], diag(z, 1), lam
         # split classes: diag(z, 1), z != 1, z ~ z^-1
         seen = set()
         for k in range(1, q - 1):
@@ -258,6 +264,7 @@ class PGLContext:
                 size //= 2
             sizes.append(size)
             reps.append((z, 0, 0, 1))
+            dlogs.append((k, 0))
         # elliptic classes
         for lam in self._elliptic_params():
             classes.append(ConjClass("pgl", "elliptic", (lam,)))
@@ -268,12 +275,14 @@ class PGLContext:
             else:
                 sizes.append(q * (q - 1))
             reps.append(self.gl.elliptic_rep(lam))
+            dlogs.append((E.dlog(lam),))
         assert sum(sizes) == self.order, (sizes, self.order)
         expected = q + 2 if q % 2 else q + 1
         assert len(classes) == expected
         self.classes = classes
         self.sizes = sizes
         self.reps = [self.normalize(m) for m in reps]
+        self.dlogs = dlogs
         self.class_index = {c: i for i, c in enumerate(classes)}
 
     def _elliptic_params(self) -> list[int]:
@@ -339,9 +348,6 @@ class PGLContext:
 
     def representative(self, c: ConjClass) -> Mat:
         return self.reps[self.class_index[c]]
-
-    def class_size(self, c: ConjClass) -> int:
-        return self.sizes[self.class_index[c]]
 
     def enumerate_group(self):
         """Canonical lifts in GL enumeration order."""

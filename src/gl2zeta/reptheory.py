@@ -70,11 +70,57 @@ def conjugate(monomial_lists, n: int) -> list:
     return [tuple((c, -k % n) for c, k in monos) for monos in monomial_lists]
 
 
-def _merge(pairs) -> Monomials:
+def _merge(pairs, n: int) -> Monomials:
     acc: dict[int, int] = {}
     for c, k in pairs:
+        k %= n
         acc[k] = acc.get(k, 0) + c
     return tuple((c, k) for k, c in sorted(acc.items(), key=lambda kv: kv[0]) if c)
+
+
+# The generic character table: (irrep kind, class kind) -> cell(q, p, d), the
+# cell's (coefficient, exponent of zeta_{q^2-1}) pairs for irrep parameters p
+# and class discrete logs d (`GLContext.dlogs`).  A base-field dlog i enters
+# as i*(q+1); the extension generator G has norm g and Frobenius G^q
+# (asserted in `ExtField`), so dlog_F(N lam) = dlog_E(lam) mod q-1 and
+# dlog_E(lam^q) = q*dlog_E(lam).
+_CELLS = {
+    ("linear", "central"): lambda q, p, d: [(1, 2 * p[0] * d[0] * (q + 1))],
+    ("linear", "unipotent"): lambda q, p, d: [(1, 2 * p[0] * d[0] * (q + 1))],
+    ("linear", "diagonal"): lambda q, p, d: [(1, p[0] * (d[0] + d[1]) * (q + 1))],
+    ("linear", "elliptic"): lambda q, p, d: [(1, p[0] * d[0] * (q + 1))],
+    ("principal", "central"): lambda q, p, d: [(q + 1, (p[0] + p[1]) * d[0] * (q + 1))],
+    ("principal", "unipotent"): lambda q, p, d: [(1, (p[0] + p[1]) * d[0] * (q + 1))],
+    ("principal", "diagonal"): lambda q, p, d: [
+        (1, (p[0] * d[0] + p[1] * d[1]) * (q + 1)),
+        (1, (p[0] * d[1] + p[1] * d[0]) * (q + 1)),
+    ],
+    ("principal", "elliptic"): lambda q, p, d: [],
+    ("steinberg", "central"): lambda q, p, d: [(q, 2 * p[0] * d[0] * (q + 1))],
+    ("steinberg", "unipotent"): lambda q, p, d: [],
+    ("steinberg", "diagonal"): lambda q, p, d: [(1, p[0] * (d[0] + d[1]) * (q + 1))],
+    ("steinberg", "elliptic"): lambda q, p, d: [(-1, p[0] * d[0] * (q + 1))],
+    ("cuspidal", "central"): lambda q, p, d: [(q - 1, p[0] * d[0] * (q + 1))],
+    ("cuspidal", "unipotent"): lambda q, p, d: [(-1, p[0] * d[0] * (q + 1))],
+    ("cuspidal", "diagonal"): lambda q, p, d: [],
+    ("cuspidal", "elliptic"): lambda q, p, d: [(-1, p[0] * d[0]), (-1, p[0] * d[0] * q)],
+}
+
+
+def _pgl_cell(irrep_kind, cell):
+    """A PGL principal series I(mu, mu^-1) has the one parameter a of mu: it
+    reads the GL cell of (a, -a)."""
+    if irrep_kind != "principal":
+        return cell
+    return lambda q, p, d: cell(q, (p[0], -p[0]), d)
+
+
+# PGL classes carry the GL coordinates of their lifts (`PGLContext.dlogs`),
+# and the PGL kind "identity" is the GL central class of 1
+_PGL_CELLS = {
+    (pk, "identity" if ck == "central" else ck): _pgl_cell(pk, cell)
+    for (pk, ck), cell in _CELLS.items()
+}
 
 
 class CharacterTable:
@@ -91,6 +137,7 @@ class CharacterTable:
         assert sum(d * d for d in self.dims) == self.order
         assert len(self.irreps) == len(ctx.classes)
         self.irrep_index = {pi: i for i, pi in enumerate(self.irreps)}
+        self._cells = _CELLS if self.group == "gl" else _PGL_CELLS
         # built on first read; a slot holds None or a complete tuple
         self._rows: list[tuple | None] = [None] * len(self.irreps)
         self._cols: list[tuple | None] = [None] * len(ctx.classes)
@@ -138,99 +185,33 @@ class CharacterTable:
 
     # -- table values -----------------------------------------------------
 
-    def _lift(self, pi: Irrep, c: ConjClass) -> tuple[Irrep, ConjClass]:
-        """PGL irreps/classes as GL ones (trivial central character lifts)."""
-        q = self.q
-        gl_kind = {"identity": "central", "unipotent": "unipotent",
-                   "diagonal": "diagonal", "elliptic": "elliptic"}[c.kind]
-        if c.kind == "identity":
-            gc = ConjClass("gl", "central", (1,))
-        elif c.kind == "unipotent":
-            gc = ConjClass("gl", "unipotent", (1,))
-        elif c.kind == "diagonal":
-            gc = ConjClass("gl", gl_kind, (c.params[0], 1))
-        else:
-            gc = ConjClass("gl", gl_kind, c.params)
-        if pi.kind == "principal":
-            a = pi.params[0]
-            gp = Irrep("gl", "principal", (a, (-a) % (q - 1)))
-        else:
-            gp = Irrep("gl", pi.kind, pi.params)
-        return gp, gc
-
-    def _monomials(self, pi: Irrep, c: ConjClass) -> Monomials:
-        if self.group == "pgl":
-            pi, c = self._lift(pi, c)
-        F, E, q, n = self.ctx.field, self.ctx.ext, self.q, self.n
-
-        def base_pow(a: int, x: int) -> int:
-            return (a * F.dlog(x) * (q + 1)) % n
-
-        def ext_pow(a: int, lam: int) -> int:
-            return (a * E.dlog(lam)) % n
-
-        kind = pi.kind
-        if kind == "linear":
-            (a,) = pi.params
-            if c.kind == "central" or c.kind == "unipotent":
-                return _merge([(1, base_pow(2 * a, c.params[0]))])
-            if c.kind == "diagonal":
-                x, y = c.params
-                return _merge([(1, base_pow(a, F.mul(x, y)))])
-            return _merge([(1, base_pow(a, E.norm(c.params[0])))])
-        if kind == "principal":
-            a, b = pi.params
-            if c.kind == "central":
-                return _merge([(q + 1, base_pow(a + b, c.params[0]))])
-            if c.kind == "unipotent":
-                return _merge([(1, base_pow(a + b, c.params[0]))])
-            if c.kind == "diagonal":
-                x, y = c.params
-                return _merge([
-                    (1, (base_pow(a, x) + base_pow(b, y)) % n),
-                    (1, (base_pow(a, y) + base_pow(b, x)) % n),
-                ])
-            return ()
-        if kind == "steinberg":
-            (a,) = pi.params
-            if c.kind == "central":
-                return _merge([(q, base_pow(2 * a, c.params[0]))])
-            if c.kind == "unipotent":
-                return ()
-            if c.kind == "diagonal":
-                x, y = c.params
-                return _merge([(1, base_pow(a, F.mul(x, y)))])
-            return _merge([(-1, base_pow(a, E.norm(c.params[0])))])
-        if kind == "cuspidal":
-            (a,) = pi.params
-            if c.kind == "central":
-                return _merge([(q - 1, ext_pow(a, E.embed(c.params[0])))])
-            if c.kind == "unipotent":
-                return _merge([(-1, ext_pow(a, E.embed(c.params[0])))])
-            if c.kind == "diagonal":
-                return ()
-            lam = c.params[0]
-            return _merge([(-1, ext_pow(a, lam)), (-1, ext_pow(a, E.frobenius(lam)))])
-        raise ValueError(f"unknown irrep kind {kind}")
+    def _monomials(self, pi: Irrep, kind: str, d: tuple) -> Monomials:
+        """The value of pi on a class of this kind with dlog coordinates d."""
+        return _merge(self._cells[pi.kind, kind](self.q, pi.params, d), self.n)
 
     def row(self, pi: Irrep) -> tuple[Monomials, ...]:
         """The values of pi on every class, in class order."""
         i = self.irrep_index[pi]
         if self._rows[i] is None:
-            self._rows[i] = tuple(self._monomials(pi, c) for c in self.ctx.classes)
+            ctx = self.ctx
+            self._rows[i] = tuple(
+                self._monomials(pi, c.kind, d) for c, d in zip(ctx.classes, ctx.dlogs)
+            )
         return self._rows[i]
 
     def column(self, c: ConjClass) -> tuple[Monomials, ...]:
         """The values of every irrep on c, in irrep order."""
         ci = self.ctx.class_index[c]
         if self._cols[ci] is None:
-            self._cols[ci] = tuple(self._monomials(pi, c) for pi in self.irreps)
+            d = self.ctx.dlogs[ci]
+            self._cols[ci] = tuple(self._monomials(pi, c.kind, d) for pi in self.irreps)
         return self._cols[ci]
 
     def value(self, pi: Irrep, c: ConjClass) -> CycNumber:
         if pi.group != self.group or c.group != self.group:
             raise ValueError("irrep/class from a different group context")
-        return CycNumber.from_monomials(self.n, self._monomials(pi, c))
+        d = self.ctx.dlogs[self.ctx.class_index[c]]
+        return CycNumber.from_monomials(self.n, self._monomials(pi, c.kind, d))
 
     # -- Frobenius-Schur ----------------------------------------------------
 

@@ -158,31 +158,27 @@ class CentralizerData:
 
     def meet_sum(self, rho: CentChar, gamma: ConjClass) -> Monomials:
         """sum of rho over gamma^G meet H, as monomials in zeta_n, n = q^2 - 1."""
-        F, E, q, n = self.ctx.field, self.ctx.ext, self.ctx.q, self.table.n
+        q, n = self.ctx.q, self.table.n
         structure, kind = self.structure, gamma.kind
         if structure == "full":
             raise ValueError("full-group characters are table rows")
+        # class dlogs (`GLContext.dlogs`); a base-field dlog enters zeta_n as i*(q+1)
+        d = self.ctx.dlogs[self.ctx.class_index[gamma]]
         if kind == "central":
-            x = gamma.params[0]
-            if structure == "mirabolic":
-                m, _ = rho.params  # psi_t(0) = 1
-                return ((1, m * F.dlog(x) * (q + 1) % n),)
-            if structure == "split-torus":
-                m1, m2 = rho.params
-                return ((1, (m1 + m2) * F.dlog(x) * (q + 1) % n),)
-            (m,) = rho.params
-            return ((1, m * E.dlog(E.embed(x)) % n),)
+            # psi_t(0) = 1 on the mirabolic; x embeds in F_{q^2} as G^(i*(q+1))
+            m = sum(rho.params) if structure == "split-torus" else rho.params[0]
+            return ((1, m * d[0] * (q + 1) % n),)
         if structure == "mirabolic" and kind == "unipotent":
             # sum over u != 0 of psi_t(u) = q [t = 0] - 1
             m, t = rho.params
-            return ((q - 1 if t == 0 else -1, m * F.dlog(gamma.params[0]) * (q + 1) % n),)
+            return ((q - 1 if t == 0 else -1, m * d[0] * (q + 1) % n),)
         if structure == "split-torus" and kind == "diagonal":
             m1, m2 = rho.params
-            i, j = (F.dlog(x) * (q + 1) for x in gamma.params)
+            i, j = (x * (q + 1) for x in d)
             return ((1, (m1 * i + m2 * j) % n), (1, (m1 * j + m2 * i) % n))
         if structure == "nonsplit-torus" and kind == "elliptic":
             (m,) = rho.params
-            k = m * E.dlog(gamma.params[0])
+            k = m * d[0]
             return ((1, k % n), (1, k * q % n))
         return ()
 

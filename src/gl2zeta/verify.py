@@ -483,7 +483,7 @@ def check_quotient(s: _Session) -> str:
             tiny = table.n ** ((2 if orient else 1) * g) <= 4_000_000
             if tiny and table.n <= CAYLEY_TABLE_CAP:
                 assert a == brute_quotient_count(table, spec, "orbits")
-    ogen = s.gl.order ** 0 * zeta_double(s.gl, 0)
+    ogen = zeta_double(s.gl, 0)
     assert quotient_count(s.gl, SurfaceSpec(True, 1)).value == ogen
     return "AdG-quotient counts: Burnside (+ explicit orbits when tiny) = |G|^(2g-2) zeta_double"
 

@@ -178,11 +178,9 @@ def _gl_insert_closed(table: CharacterTable, c: ConjClass, s):
         )
     lam = c.params[0]
     dnorm = 1 if E.norm(lam) == 1 else 0
-    dlam = 1 if lam == E.pack(1, 0) else 0  # always 0 for elliptic parameters
     return (
         (q - 1) * dnorm
         - (q - 1) * _ipow(q, s, 1) * dnorm
-        - (q * q - 1) * _ipow(q - 1, s, 1) * dlam
         + (q - 1) * _ipow(q - 1, s, 1) * dnorm
     )
 

@@ -264,3 +264,30 @@ def test_fs_with_insert_is_a_usage_error(capsys):
 def test_fs_with_double_is_a_usage_error(capsys):
     assert one_line_error(capsys, "zeta", "--q", "4", "--s", "2", "--fs", "+1",
                           "--double") == 1
+
+
+def test_double_with_insert_is_a_usage_error(capsys):
+    # the double's zeta has no insertion form; the insertions must not be dropped silently
+    assert one_line_error(capsys, "zeta", "--q", "3", "--s", "0", "--double",
+                          "--insert", "c2:0") == 1
+
+
+def test_inexact_result_is_an_error_not_a_traceback(capsys, monkeypatch):
+    import importlib
+
+    from gl2zeta.reptheory import rational_sum
+
+    # a table bug: the insertion sum comes out irrational (zeta_n alone)
+    monkeypatch.setattr(importlib.import_module("gl2zeta.zeta"), "rational_sum",
+                        lambda n, weights, factors: rational_sum(n, [1], [[((1, 1),)]]))
+    code = main(["zeta", "--q", "3", "--s", "2", "--insert", "c2:0"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "not rational" in captured.err and "Traceback" not in captured.err
+
+    def failed_check(*args):
+        raise AssertionError("centralizer sum disagrees with the double")
+
+    monkeypatch.setattr("gl2zeta.cli.zeta_sum", failed_check)
+    assert one_line_error(capsys, "zeta", "--q", "3", "--s", "2") == 2

@@ -159,7 +159,7 @@ def test_prime_power():
 
 def test_canonical_element_order_is_lexicographic():
     F = build_field(2, 2)
-    keys = [F.element_key(x) for x in F.elements()]
+    keys = [F.coeffs(x) for x in F.elements()]
     assert keys == sorted(keys)
 
 

@@ -24,7 +24,7 @@ def test_gl_class_counts_and_sizes():
         assert by_kind["diagonal"] == (q - 1) * (q - 2) // 2
         assert by_kind["elliptic"] == q * (q - 1) // 2
         for c in G.classes:
-            size = G.class_size(c)
+            size = G.sizes[G.class_index[c]]
             expected = {
                 "central": 1,
                 "unipotent": (q - 1) * (q + 1),
@@ -98,7 +98,7 @@ def test_brute_class_sizes(q):
     G = context("gl", q)
     sizes = Counter(G.classify(m) for m in G.enumerate_group())
     for c in G.classes:
-        assert sizes[c] == G.class_size(c)
+        assert sizes[c] == G.sizes[G.class_index[c]]
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])
@@ -118,7 +118,7 @@ def test_pgl_brute_conjugacy(q):
         found.append((P.classify(m), len(orbit)))
     assert len(found) == len(P.classes)
     for cls, size in found:
-        assert size == P.class_size(cls)
+        assert size == P.sizes[P.class_index[cls]]
 
 
 def test_project_examples():
@@ -169,7 +169,7 @@ def test_centralizers():
         G = context("gl", q)
         for c in G.classes:
             cent = G.centralizer(c)
-            assert G.class_size(c) * cent.order == G.order
+            assert G.sizes[G.class_index[c]] * cent.order == G.order
             expected = {
                 "central": G.order,
                 "unipotent": q * (q - 1),

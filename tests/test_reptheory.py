@@ -20,6 +20,135 @@ def rational(n, value):
     return CycNumber(n, {0: value})
 
 
+# -- reference cells: the table computed from class parameters by field calls --
+
+
+def _ref_merge(pairs):
+    acc = {}
+    for c, k in pairs:
+        acc[k] = acc.get(k, 0) + c
+    return tuple((c, k) for k, c in sorted(acc.items()) if c)
+
+
+def _ref_lift(T, pi, c):
+    """PGL irreps/classes as GL ones (trivial central character lifts)."""
+    q = T.q
+    if c.kind == "identity":
+        gc = ConjClass("gl", "central", (1,))
+    elif c.kind == "unipotent":
+        gc = ConjClass("gl", "unipotent", (1,))
+    elif c.kind == "diagonal":
+        gc = ConjClass("gl", "diagonal", (c.params[0], 1))
+    else:
+        gc = ConjClass("gl", "elliptic", c.params)
+    if pi.kind == "principal":
+        a = pi.params[0]
+        gp = Irrep("gl", "principal", (a, (-a) % (q - 1)))
+    else:
+        gp = Irrep("gl", pi.kind, pi.params)
+    return gp, gc
+
+
+def reference_cell(T, pi, c):
+    """The value of pi on c from the field parameters of c, branch by branch."""
+    if T.group == "pgl":
+        pi, c = _ref_lift(T, pi, c)
+    F, E, q, n = T.ctx.field, T.ctx.ext, T.q, T.n
+
+    def base_pow(a, x):
+        return (a * F.dlog(x) * (q + 1)) % n
+
+    def ext_pow(a, lam):
+        return (a * E.dlog(lam)) % n
+
+    kind, ck = pi.kind, c.kind
+    if kind == "linear":
+        (a,) = pi.params
+        if ck in ("central", "unipotent"):
+            return _ref_merge([(1, base_pow(2 * a, c.params[0]))])
+        if ck == "diagonal":
+            return _ref_merge([(1, base_pow(a, F.mul(*c.params)))])
+        return _ref_merge([(1, base_pow(a, E.norm(c.params[0])))])
+    if kind == "principal":
+        a, b = pi.params
+        if ck == "central":
+            return _ref_merge([(q + 1, base_pow(a + b, c.params[0]))])
+        if ck == "unipotent":
+            return _ref_merge([(1, base_pow(a + b, c.params[0]))])
+        if ck == "diagonal":
+            x, y = c.params
+            return _ref_merge([
+                (1, (base_pow(a, x) + base_pow(b, y)) % n),
+                (1, (base_pow(a, y) + base_pow(b, x)) % n),
+            ])
+        return ()
+    if kind == "steinberg":
+        (a,) = pi.params
+        if ck == "central":
+            return _ref_merge([(q, base_pow(2 * a, c.params[0]))])
+        if ck == "unipotent":
+            return ()
+        if ck == "diagonal":
+            return _ref_merge([(1, base_pow(a, F.mul(*c.params)))])
+        return _ref_merge([(-1, base_pow(a, E.norm(c.params[0])))])
+    (a,) = pi.params  # cuspidal
+    if ck == "central":
+        return _ref_merge([(q - 1, ext_pow(a, E.embed(c.params[0])))])
+    if ck == "unipotent":
+        return _ref_merge([(-1, ext_pow(a, E.embed(c.params[0])))])
+    if ck == "diagonal":
+        return ()
+    lam = c.params[0]
+    return _ref_merge([(-1, ext_pow(a, lam)), (-1, ext_pow(a, E.frobenius(lam)))])
+
+
+def reference_grid(T):
+    return [[reference_cell(T, pi, c) for c in T.ctx.classes] for pi in T.irreps]
+
+
+@pytest.mark.parametrize(
+    "g,q", [("gl", q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)]
+    + [("pgl", q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13)],
+)
+def test_cells_equal_reference(g, q):
+    T = CharacterTable(context(g, q))
+    assert [T.row(pi) for pi in T.irreps] == [tuple(r) for r in reference_grid(T)]
+
+
+def test_cells_read_without_field_calls(monkeypatch):
+    """After the contexts are built, every cell and every induced trace is
+    integer arithmetic on the class dlogs: no field method is called."""
+    from gl2zeta.ffield import ExtField, Field
+    from gl2zeta.topo import CentralizerData
+
+    tables = {g: CharacterTable(context(g, 9)) for g in ("gl", "pgl")}
+    want = {g: reference_grid(T) for g, T in tables.items()}
+    gl = tables["gl"]
+    hosts = {c.kind: c for c in gl.ctx.classes}.values()  # one per centralizer structure
+    want_induced = [
+        [CentralizerData(gl, h).induced_column(c) for c in gl.ctx.classes] for h in hosts
+    ]
+
+    def forbidden(*args):
+        raise AssertionError("field method called after construction")
+
+    for cls, names in ((Field, ("dlog", "mul")),
+                       (ExtField, ("dlog", "norm", "embed", "frobenius"))):
+        for name in names:
+            monkeypatch.setattr(cls, name, forbidden)
+    with pytest.raises(AssertionError):
+        gl.ctx.field.dlog(1)
+    for g, T in tables.items():
+        T = CharacterTable(T.ctx)
+        assert [T.row(pi) for pi in T.irreps] == [tuple(r) for r in want[g]]
+        for ci, c in enumerate(T.ctx.classes):
+            assert T.value(T.irreps[-1], c) == CycNumber.from_monomials(T.n, want[g][-1][ci])
+    got_induced = [
+        [CentralizerData(gl, h).induced_column(c) for c in gl.ctx.classes] for h in hosts
+    ]
+    assert got_induced == want_induced
+
+
 def test_irrep_counts_and_dims():
     for q in ALL_Q:
         T = char_table("gl", q)
@@ -261,25 +390,26 @@ def test_char_value_independent_of_orbit_representative():
         for pi in T.irreps:
             if pi.kind == "principal":
                 a, b = pi.params
-                swapped_rows = []
-                for c in ctx.classes:
-                    alt = T._monomials(Irrep("gl", "principal", (b, a)), c)
-                    assert CycNumber.from_monomials(T.n, alt) == T.value(pi, c)
+                alt_pi = Irrep("gl", "principal", (b, a))
             elif pi.kind == "cuspidal":
-                a = pi.params[0]
-                conj = (a * q) % ne
-                for c in ctx.classes:
-                    alt = T._monomials(Irrep("gl", "cuspidal", (conj,)), c)
-                    assert CycNumber.from_monomials(T.n, alt) == T.value(pi, c)
-        # class side: elliptic lam vs conj(lam)
-        for c in ctx.classes:
-            if c.kind != "elliptic":
+                alt_pi = Irrep("gl", "cuspidal", ((pi.params[0] * q) % ne,))
+            else:
                 continue
-            alt_cls = ConjClass("gl", "elliptic", (E.frobenius(c.params[0]),))
+            for c, d in zip(ctx.classes, ctx.dlogs):
+                alt = T._monomials(alt_pi, c.kind, d)
+                assert CycNumber.from_monomials(T.n, alt) == T.value(pi, c)
+        # class side: elliptic lam vs conj(lam) = lam^q, and a diagonal (x, y) vs (y, x)
+        for c, d in zip(ctx.classes, ctx.dlogs):
+            if c.kind == "elliptic":
+                assert E.dlog(E.frobenius(c.params[0])) == (d[0] * q) % ne
+                alt_d = ((d[0] * q) % ne,)
+            elif c.kind == "diagonal":
+                alt_d = d[::-1]
+            else:
+                continue
             for pi in T.irreps:
-                assert CycNumber.from_monomials(
-                    T.n, T._monomials(pi, alt_cls)
-                ) == T.value(pi, c)
+                alt = T._monomials(pi, c.kind, alt_d)
+                assert CycNumber.from_monomials(T.n, alt) == T.value(pi, c)
 
 
 def _naive_monomial_sum(n, weights, factor_lists):
@@ -337,9 +467,9 @@ def _count_monomials(monkeypatch) -> list:
     calls = [0]
     original = CharacterTable._monomials
 
-    def counted(self, pi, c):
+    def counted(self, *args):
         calls[0] += 1
-        return original(self, pi, c)
+        return original(self, *args)
 
     monkeypatch.setattr(CharacterTable, "_monomials", counted)
     return calls
@@ -371,8 +501,7 @@ def test_zeta_insert_builds_one_column_per_insertion(monkeypatch, g, q):
 @pytest.mark.parametrize("g,q", [("gl", q) for q in ALL_Q] + [("pgl", q) for q in ALL_Q[1:]])
 def test_lazy_cells_equal_monomial_grid(g, q):
     ctx = context(g, q)
-    reference = CharacterTable(ctx)
-    grid = [[reference._monomials(pi, c) for c in ctx.classes] for pi in reference.irreps]
+    grid = reference_grid(CharacterTable(ctx))
     for rows_first in (True, False):
         T = CharacterTable(ctx)
         for _ in range(2):  # the second pass reads the memoised tuples
@@ -392,8 +521,7 @@ def test_lazy_cells_equal_monomial_grid(g, q):
 
 def test_lazy_table_shared_across_threads():
     ctx = context("gl", 7)
-    reference = CharacterTable(ctx)
-    want_rows = [tuple(reference._monomials(pi, c) for c in ctx.classes) for pi in reference.irreps]
+    want_rows = [tuple(r) for r in reference_grid(CharacterTable(ctx))]
     want_cols = [tuple(r[ci] for r in want_rows) for ci in range(len(ctx.classes))]
     T = CharacterTable(ctx)
     results = []
@@ -520,16 +648,20 @@ def test_contragredient():
 
 
 def test_pgl_values_equal_gl_values_on_lifts():
+    """A PGL irrep is a GL irrep trivial on the centre, so its value on a class
+    is the GL value on any lift of the class representative."""
     for q in (3, 4, 5, 7, 8):
         P = char_table("pgl", q)
         G = char_table("gl", q)
         for pi in P.irreps:
-            gl_pi, _ = P._lift(pi, P.ctx.classes[0])
+            params = pi.params
+            if pi.kind == "principal":  # I(mu, mu^-1)
+                params = tuple(sorted((params[0], -params[0] % (q - 1))))
+            gl_pi = Irrep("gl", pi.kind, params)
+            assert gl_pi in G.irrep_index
             for c in P.ctx.classes:
-                _, gl_c = P._lift(pi, c)
-                got = P.value(pi, c)
-                want = CycNumber.from_monomials(G.n, G._monomials(gl_pi, gl_c))
-                assert got == want
+                gl_c = G.ctx.classify(P.ctx.representative(c))
+                assert P.value(pi, c) == G.value(gl_pi, gl_c)
 
 
 # -- fusion ------------------------------------------------------------------

@@ -82,6 +82,17 @@ def test_pgl_counts_also_match():
         assert hom_count(T, spec).value == brute_hom_count(G, spec)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_pgl_hom_counts_vs_oracle(q):
+    T = char_table("pgl", q)
+    G = group_table("pgl", q)
+    for orientable, genera in ((True, (0, 1, 2)), (False, (1, 2))):
+        for g in genera:
+            for boundaries in [()] + [(c,) for c in T.ctx.classes]:
+                spec = SurfaceSpec(orientable, g, boundaries)
+                assert hom_count(T, spec).value == brute_hom_count(G, spec), spec
+
+
 def test_boundary_insertions_vs_oracle_q3():
     T = char_table("gl", 3)
     G = group_table("gl", 3)
