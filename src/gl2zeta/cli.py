@@ -44,7 +44,7 @@ from .cyclo import CycNumber
 from .ffield import CapExceeded
 from .grp import ConjClass, GLContext, PGLContext
 from .oracle import GroupTable, brute_hom_count, brute_quotient_count
-from .reptheory import CharacterTable, Irrep
+from .reptheory import CharacterTable, Irrep, _canonical
 from .topo import SurfaceSpec, hom_count, quotient_count
 from .verify import run_verify
 
@@ -132,25 +132,12 @@ def parse_irrepspec(table: CharacterTable, spec: str) -> Irrep:
     except ValueError as exc:
         raise UsageError(f"malformed irrep spec {spec!r}") from exc
     q = table.q
-    if kind == "linear" and len(args) == 1:
-        pi = Irrep("gl", "linear", (args[0] % (q - 1),))
-    elif kind == "principal" and len(args) == 2:
-        a, b = sorted(x % (q - 1) for x in args)
-        if a == b:
-            raise UsageError("principal parameters must differ")
-        pi = Irrep("gl", "principal", (a, b))
-    elif kind == "steinberg" and len(args) == 1:
-        pi = Irrep("gl", "steinberg", (args[0] % (q - 1),))
-    elif kind == "cuspidal" and len(args) == 1:
-        n = q * q - 1
-        a = args[0] % n
-        if a % (q + 1) == 0:
-            raise UsageError(f"cuspidal exponent {a} is not primitive")
-        pi = Irrep("gl", "cuspidal", (min(a, (a * q) % n),))
-    else:
+    if len(args) != {"linear": 1, "principal": 2, "steinberg": 1, "cuspidal": 1}.get(kind):
         raise UsageError(f"malformed irrep spec {spec!r}")
+    # equal principal exponents and non-primitive cuspidal ones name no irrep
+    pi = Irrep("gl", kind, _canonical("gl", q, kind, args))
     if pi not in table.irrep_index:
-        raise UsageError(f"irrep spec {spec!r} is not canonical for q={q}")
+        raise UsageError(f"irrep spec {spec!r} names no irrep of GL(2,{q})")
     return pi
 
 
@@ -364,6 +351,10 @@ def cmd_fusion(args) -> int:
         bracket = table.triple_bracket(*pis)
         closed = table.reduced_bracket(*pis)
         coeff = table.fusion_coeff(*pis)
+        # the coefficient is <pi1 pi2 pi3*>: a wrong dual shows here
+        match = bracket == closed and coeff == table.reduced_bracket(
+            pis[0], pis[1], table.contragredient(pis[2])
+        )
         doc = {
             "schema": SCHEMA,
             "command": "fusion",
@@ -372,9 +363,9 @@ def cmd_fusion(args) -> int:
             "bracket": ser_exact(bracket),
             "closed_form": ser_exact(Fraction(closed)),
             "coefficient": ser_exact(Fraction(coeff)),
-            "match": bracket == closed,
+            "match": match,
         }
-        if bracket != closed:
+        if not match:
             exit_code = 2
         rows = [doc]
     else:

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
-from .chars import enumerate_M, enumerate_N
 from .cyclo import CycNumber
 from .grp import ConjClass
 
@@ -27,7 +27,26 @@ Monomials = tuple  # ((coeff, power), ...) in zeta_{q^2-1}
 class Irrep:
     group: str  # "gl" | "pgl"
     kind: str  # linear | principal | steinberg | cuspidal
-    params: tuple  # character exponents
+    params: tuple  # character exponents, the representative `_canonical` picks
+
+
+def _canonical(group: str, q: int, kind: str, p) -> tuple:
+    """The representative of the orbit of character exponents p that names
+    one irrep: exponents mod q^2-1 (cuspidal) or q-1 (the base-field kinds);
+    a GL principal pair {mu1, mu2} sorted; min(a, aq) for a GL cuspidal
+    {nu, nu^q}; min(a, -a) for the one exponent of a PGL principal series
+    I(mu, mu^-1) or of a PGL cuspidal {nu, nu^-1}."""
+    if kind == "cuspidal":
+        n = q * q - 1
+        a = p[0] % n
+        b = (a * q if group == "gl" else -a) % n
+    elif len(p) == 2:
+        a, b = p[0] % (q - 1), p[1] % (q - 1)
+        return (a, b) if a <= b else (b, a)
+    else:
+        a = p[0] % (q - 1)
+        b = -a % (q - 1) if kind == "principal" else a
+    return (a if a <= b else b,)
 
 
 def monomial_sum(n: int, weights, factor_lists) -> CycNumber:
@@ -67,7 +86,7 @@ def rational_sum(n: int, weights, factor_lists) -> Fraction:
 
 def conjugate(monomial_lists, n: int) -> list:
     """Complex conjugates of a list of monomial tuples: zeta^k -> zeta^-k."""
-    return [tuple((c, -k % n) for c, k in monos) for monos in monomial_lists]
+    return [tuple([(c, -k % n) for c, k in monos]) for monos in monomial_lists]
 
 
 def _merge(pairs, n: int) -> Monomials:
@@ -128,57 +147,39 @@ class CharacterTable:
 
     def __init__(self, ctx):
         self.ctx = ctx
-        self.group = ctx.group
-        self.q = ctx.q
+        self.group = g = ctx.group
+        self.q = q = ctx.q
         self.n = ctx.ext.order - 1  # conductor of all table values
         self.order = ctx.order
         self.irreps = self._enumerate_irreps()
-        self.dims = [self._dim(pi) for pi in self.irreps]
+        dim = {"linear": 1, "principal": q + 1, "steinberg": q, "cuspidal": q - 1}
+        self.dims = [dim[pi.kind] for pi in self.irreps]
         assert sum(d * d for d in self.dims) == self.order
         assert len(self.irreps) == len(ctx.classes)
         self.irrep_index = {pi: i for i, pi in enumerate(self.irreps)}
-        self._cells = _CELLS if self.group == "gl" else _PGL_CELLS
+        self._cells = _CELLS if g == "gl" else _PGL_CELLS
         # built on first read; a slot holds None or a complete tuple
         self._rows: list[tuple | None] = [None] * len(self.irreps)
         self._cols: list[tuple | None] = [None] * len(ctx.classes)
-        self.fs = [self._fs_rule(pi) for pi in self.irreps]
 
     # -- irrep lists ------------------------------------------------------
 
     def _enumerate_irreps(self) -> list[Irrep]:
-        q = self.q
-        ne = self.n
-        out: list[Irrep] = []
-        if self.group == "gl":
-            for a in range(q - 1):
-                out.append(Irrep("gl", "linear", (a,)))
-            for a in range(q - 1):
-                for b in range(a + 1, q - 1):
-                    out.append(Irrep("gl", "principal", (a, b)))
-            for a in range(q - 1):
-                out.append(Irrep("gl", "steinberg", (a,)))
-            seen = set()
-            for a in range(ne):
-                if a % (q + 1) == 0 or a in seen:  # non-primitive or already seen
-                    continue
-                seen.update({a, (a * q) % ne})
-                out.append(Irrep("gl", "cuspidal", (a,)))
+        """Every irrep once, in kind order, by the raw parameters that are
+        their own orbit representative (`_canonical`).  PGL keeps the irreps
+        trivial on the centre: base exponents with 2a = 0 mod q-1, I(mu, mu^-1)
+        by the exponent of mu, cuspidal exponents divisible by q-1."""
+        g, q = self.group, self.q
+        m = q - 1
+        gl = g == "gl"
+        base = [(a,) for a in range(m) if gl or 2 * a % m == 0]
+        if gl:
+            principal = [(a, b) for a in range(m) for b in range(a + 1, m)]
         else:
-            out.append(Irrep("pgl", "linear", (0,)))
-            if q % 2:
-                out.append(Irrep("pgl", "linear", ((q - 1) // 2,)))
-            for orbit in enumerate_M(self.ctx.ext):
-                out.append(Irrep("pgl", "principal", (orbit.rep.exponent,)))
-            out.append(Irrep("pgl", "steinberg", (0,)))
-            if q % 2:
-                out.append(Irrep("pgl", "steinberg", ((q - 1) // 2,)))
-            for orbit in enumerate_N(self.ctx.ext):
-                out.append(Irrep("pgl", "cuspidal", (orbit.rep.exponent,)))
-        return out
-
-    def _dim(self, pi: Irrep) -> int:
-        q = self.q
-        return {"linear": 1, "principal": q + 1, "steinberg": q, "cuspidal": q - 1}[pi.kind]
+            principal = [(a,) for a in range(m) if 2 * a % m]
+        cuspidal = [(a,) for a in range(0, self.n, 1 if gl else m) if a % (q + 1)]
+        kinds = (("linear", base), ("principal", principal), ("steinberg", base), ("cuspidal", cuspidal))
+        return [Irrep(g, k, p) for k, ps in kinds for p in ps if _canonical(g, q, k, p) == p]
 
     def dim(self, pi: Irrep) -> int:
         return self.dims[self.irrep_index[pi]]
@@ -215,22 +216,11 @@ class CharacterTable:
 
     # -- Frobenius-Schur ----------------------------------------------------
 
-    def _fs_rule(self, pi: Irrep) -> int:
-        if self.group == "pgl":
-            return 1
-        q = self.q
-        m = q - 1
-        if pi.kind in ("linear", "steinberg"):
-            return 1 if (2 * pi.params[0]) % m == 0 else 0
-        if pi.kind == "principal":
-            a, b = pi.params
-            if (a + b) % m == 0:
-                return 1
-            if q % 2 and {a, b} == {0, m // 2}:
-                return 1
-            return 0
-        # cuspidal: +1 exactly when the restriction to F^x is trivial
-        return 1 if pi.params[0] % m == 0 else 0
+    @cached_property
+    def fs(self) -> list[int]:
+        """The Frobenius-Schur indicators in irrep order.  No irrep of GL(2,q)
+        or PGL(2,q) has indicator -1 (Prasad), so FS(pi) = [pi = pi*]."""
+        return [int(self.contragredient(pi) == pi) for pi in self.irreps]
 
     def fs_indicator(self, pi: Irrep) -> int:
         return self.fs[self.irrep_index[pi]]
@@ -249,34 +239,20 @@ class CharacterTable:
 
     # -- duals and tensor twists -------------------------------------------
 
+    def _act(self, pi: Irrep, u: int, a: int) -> Irrep:
+        """The irrep with parameters u*p + a*w, w = 1 for the base-field kinds
+        and w = q+1 for cuspidal (chi_a o det restricted to E^x is chi_a o N):
+        u = -1 is the contragredient, (1, a) the twist by chi_a."""
+        w = self.q + 1 if pi.kind == "cuspidal" else 1
+        p = [u * x + a * w for x in pi.params]
+        return Irrep(pi.group, pi.kind, _canonical(pi.group, self.q, pi.kind, p))
+
     def contragredient(self, pi: Irrep) -> Irrep:
-        q = self.q
-        m = q - 1
-        ne = self.n
-        if self.group == "pgl":
-            return pi  # every PGL irrep here is self-dual
-        if pi.kind in ("linear", "steinberg"):
-            return Irrep("gl", pi.kind, ((-pi.params[0]) % m,))
-        if pi.kind == "principal":
-            a, b = ((-pi.params[0]) % m, (-pi.params[1]) % m)
-            return Irrep("gl", "principal", (min(a, b), max(a, b)))
-        a = (-pi.params[0]) % ne
-        return Irrep("gl", "cuspidal", (min(a, (a * q) % ne),))
+        return self._act(pi, -1, 0)
 
     def tensor_with_linear(self, a: int, pi: Irrep) -> Irrep:
-        """chi_a (x) pi, for a GL irrep pi."""
-        q = self.q
-        m = q - 1
-        if pi.kind == "linear":
-            return Irrep("gl", "linear", ((a + pi.params[0]) % m,))
-        if pi.kind == "principal":
-            u, v = sorted(((a + pi.params[0]) % m, (a + pi.params[1]) % m))
-            return Irrep("gl", "principal", (u, v))
-        if pi.kind == "steinberg":
-            return Irrep("gl", "steinberg", ((a + pi.params[0]) % m,))
-        ne = self.n
-        b = (pi.params[0] + a * (q + 1)) % ne
-        return Irrep("gl", "cuspidal", (min(b, (b * q) % ne),))
+        """chi_a (x) pi."""
+        return self._act(pi, 1, a)
 
     # -- brackets and fusion -------------------------------------------------
 
@@ -291,8 +267,10 @@ class CharacterTable:
         return self._bracket((p1, p2, p3))
 
     def fusion_coeff(self, p1: Irrep, p2: Irrep, p3: Irrep) -> int:
-        """Multiplicity of p3 inside p1 (x) p2."""
-        v = self.triple_bracket(p1, p2, self.contragredient(p3))
+        """Multiplicity of p3 inside p1 (x) p2: the bracket with p3's
+        conjugated row, so it does not read `contragredient`."""
+        rows = [self.row(p1), self.row(p2), conjugate(self.row(p3), self.n)]
+        v = rational_sum(self.n, self.ctx.sizes, rows) / self.order
         assert v.denominator == 1 and v >= 0, "fusion coefficient must be a non-negative integer"
         return int(v)
 
@@ -305,21 +283,8 @@ class CharacterTable:
         return 1 if sum(exps) % self.n == 0 else 0
 
     def closed_form_pair(self, p1: Irrep, p2: Irrep) -> int:
-        """Orthogonality-derived pair bracket <pi pi'>."""
-        if self.group != "gl":
-            raise ValueError("closed forms are stated for the GL context")
-        q = self.q
-        if p1.kind != p2.kind:
-            return 0
-        if p1.kind in ("linear", "steinberg"):
-            return self._delta_base(p1.params[0], p2.params[0])
-        if p1.kind == "principal":
-            (a, b), (c, d) = p1.params, p2.params
-            return self._delta_base(a, c) * self._delta_base(b, d) + self._delta_base(
-                a, d
-            ) * self._delta_base(b, c)
-        a, b = p1.params[0], p2.params[0]
-        return self._delta_ext(a, b) + self._delta_ext(a, b * q)
+        """Orthogonality-derived pair bracket <pi pi'> = [pi' = pi*]."""
+        return int(p2 == self.contragredient(p1))
 
     def closed_form_triple(self, p1: Irrep, p2: Irrep, p3: Irrep) -> int:
         """The explicit triple bracket <pi pi' pi''>, no linear arguments."""

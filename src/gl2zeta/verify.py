@@ -25,7 +25,6 @@ from .zeta import (
     zeta_insert,
     zeta_insert_closed,
 )
-from .chars import enumerate_N
 from .cyclo import CycNumber
 from .ffield import CapExceeded
 from .grp import GLContext, PGLContext, mat_mul
@@ -99,35 +98,32 @@ def check_dlog(s: _Session) -> str:
     return "dlog(xy) = dlog(x) + dlog(y) mod q-1"
 
 
+# The character sums below read mu_a(x) = zeta^(a dlog_F(x) (q+1)) for the
+# characters of F_q^x and nu_a(lam) = zeta^(a dlog_E(lam)) for those of
+# F_{q^2}^x, zeta a primitive (q^2-1)-th root of unity.
+
+
 @_check("base-character-orthogonality")
 def check_char_orth(s: _Session) -> str:
-    from .chars import base_chars, value_power
-
     E = s.gl.ctx.ext
     q = s.q
     n = E.order - 1
     for x in range(1, q):
-        total = CycNumber.from_monomials(
-            n, [(1, value_power(mu, x, E)) for mu in base_chars(E)]
-        )
+        k = E.base.dlog(x) * (q + 1)
+        total = CycNumber.from_monomials(n, [(1, a * k) for a in range(q - 1)])
         assert total.as_rational() == ((q - 1) if x == 1 else 0)
     return "sum of mu(x) over characters = (q-1) [x=1]"
 
 
 @_check("character-pair-sum-identity")
 def check_pair_identity(s: _Session) -> str:
-    from .chars import base_chars, value_power
-
     E = s.gl.ctx.ext
     F = E.base
     q = s.q
     n = E.order - 1
-    bc = base_chars(E)
     for x in range(1, q):
-        monos = []
-        for i in range(len(bc)):
-            for j in range(i + 1, len(bc)):
-                monos.append((1, value_power(bc[i].mul(bc[j]), x, E)))
+        k = F.dlog(x) * (q + 1)
+        monos = [(1, (a + b) * k) for a in range(q - 1) for b in range(a + 1, q - 1)]
         got = CycNumber.from_monomials(n, monos).as_rational()
         want = Fraction((q - 1) ** 2, 2) * (x == 1) - Fraction(q - 1, 2) * (
             F.mul(x, x) == 1
@@ -138,24 +134,15 @@ def check_pair_identity(s: _Session) -> str:
 
 @_check("galois-orbit-character-sum-identity")
 def check_orbit_identity(s: _Session) -> str:
-    from .chars import MulChar, is_primitive, value_power
-
     E = s.gl.ctx.ext
     F = E.base
     q = s.q
     n = E.order - 1
-    orbits = []
-    seen = set()
-    for a in range(n):
-        nu = MulChar(n, a)
-        if not is_primitive(nu, E) or a in seen:
-            continue
-        seen.update({a, (a * q) % n})
-        orbits.append(nu)
+    # the GL cuspidal parameters: one primitive nu from each orbit {nu, nu^q}
+    orbits = [pi.params[0] for pi in s.gl.irreps if pi.kind == "cuspidal"]
     for x in range(1, q):
-        got = CycNumber.from_monomials(
-            n, [(1, value_power(nu, E.embed(x), E)) for nu in orbits]
-        ).as_rational()
+        k = E.dlog(E.embed(x))
+        got = CycNumber.from_monomials(n, [(1, a * k) for a in orbits]).as_rational()
         want = Fraction(q * q - 1, 2) * (x == 1) - Fraction(q - 1, 2) * (
             F.mul(x, x) == 1
         )
@@ -165,19 +152,19 @@ def check_orbit_identity(s: _Session) -> str:
 
 @_check("cuspidal-restriction-sum-identity")
 def check_N_identity(s: _Session) -> str:
-    from .chars import epsilon_E_value, value_power
+    from .chars import epsilon_E_value
 
     E = s.gl.ctx.ext
     q = s.q
     n = E.order - 1
-    N = enumerate_N(E)
+    # the PGL cuspidal parameters: one nu from each orbit {nu, nu^-1} of
+    # primitive characters trivial on F_q^x
+    N = [pi.params[0] for pi in s.pgl.irreps if pi.kind == "cuspidal"]
     for lam in E.elements():
         if lam == 0:
             continue
-        monos = []
-        for o in N:
-            monos.append((1, value_power(o.rep, lam, E)))
-            monos.append((1, value_power(o.rep, E.frobenius(lam), E)))
+        k, kq = E.dlog(lam), E.dlog(E.frobenius(lam))
+        monos = [(1, a * k) for a in N] + [(1, a * kq) for a in N]
         got = CycNumber.from_monomials(n, monos).as_rational()
         want = (q + 1) * E.in_base(lam) - 1
         if q % 2:

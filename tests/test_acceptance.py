@@ -281,14 +281,8 @@ def test_criterion_9_zeta_closed_forms():
 
 
 def test_criterion_10_character_sum_identities():
-    from gl2zeta.chars import (
-        MulChar,
-        base_chars,
-        enumerate_N,
-        epsilon_E_value,
-        is_primitive,
-        value_power,
-    )
+    from conftest import MulChar, base_chars, enumerate_N, is_primitive, value_power
+    from gl2zeta.chars import epsilon_E_value
 
     for q in (3, 4, 5, 7, 8, 9):
         E = char_table("gl", q).ctx.ext

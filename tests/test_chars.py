@@ -2,8 +2,16 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import (
+    MulChar,
+    base_chars,
+    char_table,
+    enumerate_M,
+    enumerate_N,
+    is_primitive,
+    value_power,
+)
 from gl2zeta import chars
-from gl2zeta.chars import MulChar
 from gl2zeta.cyclo import CycNumber
 from gl2zeta.ffield import build_extension, build_field, prime_power
 
@@ -17,31 +25,31 @@ def ext(q):
 
 def value(chi, x, E):
     """chi(x) in Q(zeta_n), n = q^2 - 1."""
-    return CycNumber(E.order - 1, {chars.value_power(chi, x, E): 1})
+    return CycNumber(E.order - 1, {value_power(chi, x, E): 1})
 
 
 def test_char_counts():
     E = ext(3)
-    assert len(chars.base_chars(E)) == 2  # {1, eps}
-    assert len(chars.base_chars(ext(2))) == 1  # trivial group
+    assert len(base_chars(E)) == 2  # {1, eps}
+    assert len(base_chars(ext(2))) == 1  # trivial group
 
 
 def test_char_group_closure():
     E = ext(4)
-    cs = chars.base_chars(E)
+    cs = base_chars(E)
     assert {a.mul(b) for a in cs for b in cs} == set(cs)
     assert {a.inv() for a in cs} == set(cs)
 
 
 def test_primitivity():
     E = ext(3)
-    assert not chars.is_primitive(MulChar(8, 0), E)
-    assert chars.is_primitive(MulChar(8, 1), E)
-    assert not chars.is_primitive(MulChar(8, 4), E)  # q+1 = 4 divides 4
+    assert not is_primitive(MulChar(8, 0), E)
+    assert is_primitive(MulChar(8, 1), E)
+    assert not is_primitive(MulChar(8, 4), E)  # q+1 = 4 divides 4
     # primitive <=> not a norm inflation
-    inflated = {mu.exponent * (E.q + 1) % 8 for mu in chars.base_chars(E)}
+    inflated = {mu.exponent * (E.q + 1) % 8 for mu in base_chars(E)}
     for a in range(8):
-        assert chars.is_primitive(MulChar(8, a), E) == (a not in inflated)
+        assert is_primitive(MulChar(8, a), E) == (a not in inflated)
 
 
 def restrict(nu, E):
@@ -57,7 +65,7 @@ def test_restriction():
     # restriction of a norm inflation mu o N (exponent times q+1) is the square
     for q in (3, 5, 7):
         Eq = ext(q)
-        for mu in chars.base_chars(Eq):
+        for mu in base_chars(Eq):
             inflated = MulChar(Eq.order - 1, mu.exponent * (q + 1))
             assert restrict(inflated, Eq) == mu.pow(2)
 
@@ -68,7 +76,7 @@ def test_restriction_pointwise():
         for nu in (MulChar(E.order - 1, a) for a in range(E.order - 1)):
             mu = restrict(nu, E)
             for x in range(1, q):
-                assert chars.value_power(nu, E.embed(x), E) == chars.value_power(
+                assert value_power(nu, E.embed(x), E) == value_power(
                     mu, x, E
                 )
 
@@ -103,8 +111,8 @@ def test_epsilon_E():
                                    (7, 2, 3), (8, 3, 4), (9, 3, 4)])
 def test_orbit_counts(q, m, n):
     E = ext(q)
-    M = chars.enumerate_M(E)
-    N = chars.enumerate_N(E)
+    M = enumerate_M(E)
+    N = enumerate_N(E)
     assert len(M) == m
     assert len(N) == n
     for o in M + N:
@@ -113,9 +121,15 @@ def test_orbit_counts(q, m, n):
     ne = E.order - 1
     for o in N:
         a = o.rep.exponent
-        assert chars.is_primitive(o.rep, E)
+        assert is_primitive(o.rep, E)
         assert restrict(o.rep, E).exponent == 0
         assert (a * q) % ne == (-a) % ne
+    # the PGL principal and cuspidal parameters are these orbit representatives
+    T = char_table("pgl", q)
+    for kind, orbits in (("principal", M), ("cuspidal", N)):
+        assert [pi.params[0] for pi in T.irreps if pi.kind == kind] == [
+            o.rep.exponent for o in orbits
+        ]
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
@@ -124,7 +138,7 @@ def test_base_orthogonality(q):
     ne = E.order - 1
     for x in range(1, q):
         total = CycNumber.from_monomials(
-            ne, [(1, chars.value_power(mu, x, E)) for mu in chars.base_chars(E)]
+            ne, [(1, value_power(mu, x, E)) for mu in base_chars(E)]
         )
         assert total.as_rational() == ((q - 1) if x == 1 else 0)
 
@@ -134,12 +148,12 @@ def test_pair_sum_identity(q):
     E = ext(q)
     F = E.base
     ne = E.order - 1
-    bc = chars.base_chars(E)
+    bc = base_chars(E)
     for x in range(1, q):
         monos = []
         for i in range(len(bc)):
             for j in range(i + 1, len(bc)):
-                monos.append((1, chars.value_power(bc[i].mul(bc[j]), x, E)))
+                monos.append((1, value_power(bc[i].mul(bc[j]), x, E)))
         got = CycNumber.from_monomials(ne, monos).as_rational()
         want = Fraction((q - 1) ** 2, 2) * (x == 1) - Fraction(q - 1, 2) * (
             F.mul(x, x) == 1
@@ -156,14 +170,14 @@ def test_galois_orbit_sum_identity(q):
     seen = set()
     for a in range(ne):
         nu = MulChar(ne, a)
-        if not chars.is_primitive(nu, E) or a in seen:
+        if not is_primitive(nu, E) or a in seen:
             continue
         seen.update({a, (a * q) % ne})
         orbits.append(nu)
     assert len(orbits) == q * (q - 1) // 2
     for x in range(1, q):
         got = CycNumber.from_monomials(
-            ne, [(1, chars.value_power(nu, E.embed(x), E)) for nu in orbits]
+            ne, [(1, value_power(nu, E.embed(x), E)) for nu in orbits]
         ).as_rational()
         want = Fraction(q * q - 1, 2) * (x == 1) - Fraction(q - 1, 2) * (
             F.mul(x, x) == 1
@@ -175,14 +189,14 @@ def test_galois_orbit_sum_identity(q):
 def test_cuspidal_restriction_identity(q):
     E = ext(q)
     ne = E.order - 1
-    N = chars.enumerate_N(E)
+    N = enumerate_N(E)
     for lam in E.elements():
         if lam == 0:
             continue
         monos = []
         for o in N:
-            monos.append((1, chars.value_power(o.rep, lam, E)))
-            monos.append((1, chars.value_power(o.rep, E.frobenius(lam), E)))
+            monos.append((1, value_power(o.rep, lam, E)))
+            monos.append((1, value_power(o.rep, E.frobenius(lam), E)))
         got = CycNumber.from_monomials(ne, monos).as_rational()
         want = (q + 1) * E.in_base(lam) - 1
         if q % 2:

@@ -126,6 +126,19 @@ def test_fusion_triple(capsys):
     assert doc["bracket"] == "1" and doc["match"] is True
 
 
+def test_fusion_triple_coefficient_checks_the_dual(capsys, monkeypatch):
+    # the coefficient <pi1 pi2 pi3*> comes from the conjugated row of pi3, the
+    # closed form from the parameter-level dual: a wrong dual is a mismatch
+    argv = ("fusion", "--q", "7", "--triple", "principal:0,1", "cuspidal:1", "cuspidal:2",
+            "--format", "json")
+    code, out = run(capsys, *argv)
+    doc = json.loads(out)
+    assert code == 0 and doc["coefficient"] == "1" and doc["match"] is True
+    monkeypatch.setattr("gl2zeta.cli.CharacterTable.contragredient", lambda self, pi: pi)
+    code, out = run(capsys, *argv)
+    assert code == 2 and json.loads(out)["match"] is False
+
+
 def test_fusion_all(capsys):
     code, out = run(capsys, "fusion", "--q", "3", "--all", "--format", "json")
     assert code == 0

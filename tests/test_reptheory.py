@@ -5,7 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import char_table, context, cyc_product, group_table
+from conftest import (
+    MulChar,
+    char_table,
+    context,
+    cyc_product,
+    enumerate_M,
+    enumerate_N,
+    group_table,
+    value_power,
+)
 from gl2zeta.cyclo import CycNumber
 from gl2zeta.grp import ConjClass
 from gl2zeta.verify import brute_fs, brute_fusion
@@ -185,6 +194,92 @@ def test_pgl_irrep_lists():
         assert sum(d * d for d in T.dims) == T.order
 
 
+PRIME_POWERS_TO_49 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32,
+                      37, 41, 43, 47, 49]
+
+
+def legacy_irreps(g, q, ext):
+    """The irrep list as it was enumerated kind by kind, PGL through the
+    character orbits {mu, mu^-1} and {nu, nu^-1}."""
+    ne = q * q - 1
+    out = []
+    if g == "gl":
+        out += [Irrep("gl", "linear", (a,)) for a in range(q - 1)]
+        for a in range(q - 1):
+            for b in range(a + 1, q - 1):
+                out.append(Irrep("gl", "principal", (a, b)))
+        out += [Irrep("gl", "steinberg", (a,)) for a in range(q - 1)]
+        seen = set()
+        for a in range(ne):
+            if a % (q + 1) == 0 or a in seen:  # non-primitive or already seen
+                continue
+            seen.update({a, (a * q) % ne})
+            out.append(Irrep("gl", "cuspidal", (a,)))
+        return out
+    quadratic = [0] + ([(q - 1) // 2] if q % 2 else [])
+    out += [Irrep("pgl", "linear", (a,)) for a in quadratic]
+    out += [Irrep("pgl", "principal", (o.rep.exponent,)) for o in enumerate_M(ext)]
+    out += [Irrep("pgl", "steinberg", (a,)) for a in quadratic]
+    out += [Irrep("pgl", "cuspidal", (o.rep.exponent,)) for o in enumerate_N(ext)]
+    return out
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_TO_49)
+def test_irreps_equal_legacy_enumeration(q):
+    """Orbit representatives in today's order: irrep labels (CLI specs and the
+    benchmark's pool labels) name the same irreps as before."""
+    from gl2zeta.cli import irrep_label
+
+    for g in ("gl", "pgl"):
+        T = char_table(g, q)
+        want = legacy_irreps(g, q, T.ctx.ext)
+        assert T.irreps == want
+        assert [irrep_label(T, pi) for pi in T.irreps] == [irrep_label(T, pi) for pi in want]
+
+
+def _by_power(monomial_lists):
+    return tuple(tuple(sorted(monos, key=lambda ck: ck[1])) for monos in monomial_lists)
+
+
+@pytest.mark.parametrize(
+    "g,q", [("gl", q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)]
+    + [("pgl", q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27)],
+)
+def test_dual_and_twist_rows(g, q):
+    """Cell by cell on monomial tuples: row(pi*) = conj row(pi), and
+    row(chi_a (x) pi)[c] = zeta^(a dlog det(c) (q+1)) row(pi)[c] for every
+    chi_a o det of the group (PGL: chi_a^2 = 1)."""
+    from gl2zeta.grp import mat_det
+    from gl2zeta.reptheory import conjugate
+
+    T = char_table(g, q)
+    F, n = T.ctx.field, T.n
+    det_power = [F.dlog(mat_det(F, m)) * (q + 1) for m in T.ctx.reps]
+    twists = [a for a in range(q - 1) if g == "gl" or 2 * a % (q - 1) == 0]
+    for pi in T.irreps:
+        row = T.row(pi)
+        assert T.row(T.contragredient(pi)) == _by_power(conjugate(row, n))
+        for a in twists:
+            want = [[(c, (k + a * dk) % n) for c, k in monos] for monos, dk in zip(row, det_power)]
+            assert T.row(T.tensor_with_linear(a, pi)) == _by_power(want)
+
+
+def test_cuspidal_dual_mutant_fails_fs_check(monkeypatch):
+    """A contragredient that fixes every cuspidal makes FS = [pi = pi*] wrong,
+    and the defining-sum check sees it."""
+    from gl2zeta.verify import CHECKS, _Session
+
+    check = next(fn for fn in CHECKS if fn._check_name == "frobenius-schur-rules-vs-defining-sum")
+    check(_Session(5))
+    real = CharacterTable.contragredient
+    monkeypatch.setattr(
+        CharacterTable, "contragredient",
+        lambda self, pi: pi if pi.kind == "cuspidal" else real(self, pi),
+    )
+    with pytest.raises(AssertionError):
+        check(_Session(5))
+
+
 def test_identity_column_is_dimension():
     for q in (2, 3, 4, 5):
         for g in ("gl", "pgl"):
@@ -200,8 +295,6 @@ def test_gl_table_entries():
     T = char_table("gl", q)
     ctx = T.ctx
     F, E = ctx.field, ctx.ext
-    from gl2zeta.chars import MulChar, value_power
-
     n = T.n
     for a in range(q - 1):
         mu = MulChar(q - 1, a)
@@ -267,7 +360,7 @@ def test_pgl_table_odd_q_matches_displayed_form():
     T = char_table("pgl", q)
     ctx = T.ctx
     F, E = ctx.field, ctx.ext
-    from gl2zeta.chars import MulChar, epsilon_value, value_power
+    from gl2zeta.chars import epsilon_value
 
     n = T.n
     for c in ctx.classes:
@@ -333,8 +426,6 @@ def test_pgl_table_even_q_matches_displayed_form():
     T = char_table("pgl", q)
     ctx = T.ctx
     E = ctx.ext
-    from gl2zeta.chars import MulChar, value_power
-
     n = T.n
     for c in ctx.classes:
         for pi in T.irreps:
@@ -692,8 +783,8 @@ def test_fusion_element_level_oracle_q3():
 
 
 def test_pair_bracket_closed_forms():
-    for q in (3, 4, 5):
-        T = char_table("gl", q)
+    for g, q in [("gl", q) for q in (3, 4, 5)] + [("pgl", q) for q in (3, 4, 5, 7)]:
+        T = char_table(g, q)
         irr = T.irreps
         for p1 in irr:
             for p2 in irr:
