@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclo import CycNumber
-from .grp import ClassFunction, ConjClass, mat_inv
+from .grp import ClassFunction, ConjClass
 from .reptheory import CharacterTable, Irrep, Monomials, conjugate, rational_sum
 from .zeta import zeta as zeta_sum, zeta_double, zeta_insert
 
@@ -276,9 +276,7 @@ def class_indicator_spectral(table: CharacterTable, c: ConjClass) -> ClassFuncti
     """The indicator of a conjugacy class through its character expansion
     (|O|/|G|) sum over pi of chi_pi(gamma^-1) chi_pi."""
     ctx = table.ctx
-    F = ctx.field
-    rep = ctx.representative(c)
-    inv_col = table.column(ctx.classify(mat_inv(F, rep)))
+    inv_col = conjugate(table.column(c), table.n)  # chi(gamma^-1) = conj chi(gamma)
     w = Fraction(ctx.sizes[ctx.class_index[c]], table.order)
     ones = [1] * len(table.irreps)
     values = []

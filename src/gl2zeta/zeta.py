@@ -1,14 +1,15 @@
 """Representation zeta functions for GL(2,F_q) and PGL(2,F_q).
 
 Every evaluator comes in two flavours: a generic sum driven by the exact
-character table, and a closed form in q.  Integer arguments give exact
+character table, and a closed form in q (the insertion forms read the
+class dlogs and call no field method).  Integer arguments give exact
 rationals; other arguments go through complex floats.
 
 Three of the published closed forms needed repair to agree with the
 character table (each mismatch is caught by the generic/closed equality
 tests): the unipotent one-insertion forms use the cuspidal dimension
 q - 1 in their last denominator, and the all-elliptic r-insertion forms
-carry the quadratic-character terms spelled out in `_insert_elliptic_*`.
+carry the quadratic-character terms of `_pgl_insert_closed`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from fractions import Fraction
 from itertools import product
 from numbers import Integral
 
-from .chars import epsilon_E_value, epsilon_value
 from .cyclo import CycNumber
 from .grp import ConjClass
 from .reptheory import CharacterTable, rational_sum
@@ -139,19 +139,18 @@ def zeta_fs_closed_pgl(q: int, eps: int, s):
     return zeta_closed_pgl(q, s)
 
 
-def _deltas(table, x) -> tuple[int, int]:
-    """([x == 1], [x^2 == 1]) for a base-field element."""
-    F = table.ctx.field
-    return (1 if x == 1 else 0, 1 if F.mul(x, x) == 1 else 0)
-
-
 def _gl_insert_closed(table: CharacterTable, c: ConjClass, s):
+    """The one-insertion forms on the class dlogs (`GLContext.dlogs`): each
+    delta [x = 1] of a base-field element g^i is [i = 0 mod q-1]."""
     q = table.q
-    F, E = table.ctx.field, table.ctx.ext
+    d = table.ctx.dlogs[table.ctx.class_index[c]]
     half = Fraction(1, 2)
+
+    def one(i: int) -> int:
+        return 1 if i % (q - 1) == 0 else 0
+
     if c.kind == "central":
-        x = c.params[0]
-        dx, dx2 = _deltas(table, x)
+        dx, dx2 = one(d[0]), one(2 * d[0])
         return (
             (q - 1) * dx2
             + half * _ipow(q + 1, s) * ((q - 1) ** 2 * dx - (q - 1) * dx2)
@@ -159,25 +158,21 @@ def _gl_insert_closed(table: CharacterTable, c: ConjClass, s):
             + half * _ipow(q - 1, s) * ((q * q - 1) * dx - (q - 1) * dx2)
         )
     if c.kind == "unipotent":
-        x = c.params[0]
-        dx, dx2 = _deltas(table, x)
+        dx, dx2 = one(d[0]), one(2 * d[0])
         return (
             (q - 1) * dx2
             + half * _ipow(q + 1, s, 1) * ((q - 1) ** 2 * dx - (q - 1) * dx2)
             - half * _ipow(q - 1, s, 1) * ((q * q - 1) * dx - (q - 1) * dx2)
         )
     if c.kind == "diagonal":
-        x, y = c.params
-        dx = 1 if x == 1 else 0
-        dy = 1 if y == 1 else 0
-        dxy = 1 if F.mul(x, y) == 1 else 0
+        dx, dy, dxy = one(d[0]), one(d[1]), one(d[0] + d[1])
         return (
             (q - 1) * dxy
             + _ipow(q + 1, s, 1) * ((q - 1) ** 2 * dx * dy - (q - 1) * dxy)
             + _ipow(q, s, 1) * (q - 1) * dxy
         )
-    lam = c.params[0]
-    dnorm = 1 if E.norm(lam) == 1 else 0
+    # [N lam = 1]: dlog_F(N lam) = dlog_E(lam) mod q-1 (asserted in `ExtField`)
+    dnorm = one(d[0])
     return (
         (q - 1) * dnorm
         - (q - 1) * _ipow(q, s, 1) * dnorm
@@ -201,67 +196,28 @@ def _pgl_insert_unipotent(table: CharacterTable, s):
     )
 
 
-def _pgl_insert_diagonal(table: CharacterTable, xs: tuple, s):
+def _pgl_insert_closed(table: CharacterTable, insertions: tuple, s):
+    """Every pattern of diagonal and elliptic classes, on the lift dlogs
+    k_i (`PGLContext.dlogs`): k for diag(g^k, 1), dlog_E(lam) for lam.  For
+    odd q, epsilon is (-1)^dlog on both fields and dlog_F(N lam) = dlog_E(lam)
+    mod q-1, so every epsilon here is (-1)^(sum k_i).  lam^q has dlog
+    q*k = -k mod q+1, and lam is in F_q exactly when its dlog is 0 mod q+1."""
     q = table.q
-    F, E = table.ctx.field, table.ctx.ext
-    r = len(xs)
-    half = Fraction(1, 2)
+    ctx = table.ctx
+    ks = [ctx.dlogs[ctx.class_index[c]][0] for c in insertions]
+    r = len(ks)
+    n_ell = sum(1 for c in insertions if c.kind == "elliptic")
+    sign = (-1) ** n_ell
+    eps = (-1) ** sum(ks) if q % 2 else 0
+    main = (1 + sign * _ipow(q, s, r)) * (1 + eps)
+    if 0 < n_ell < r:
+        return main
+    m, base = (q + 1, q - 1) if n_ell else (q - 1, q + 1)
     eta_sum = 0
     for signs in product((1, -1), repeat=r):
-        prod = 1
-        for x, sg in zip(xs, signs):
-            prod = F.mul(prod, x if sg == 1 else F.inv(x))
-        term = (q - 1) * (1 if prod == 1 else 0) - 1
-        if q % 2:
-            term -= epsilon_value(E, prod)
-        eta_sum += term
-    main = 1 + _ipow(q, s, r)
-    if q % 2:
-        x_all = 1
-        for x in xs:
-            x_all = F.mul(x_all, x)
-        main = main * (1 + epsilon_value(E, x_all))
-    return main + half * _ipow(q + 1, s, r) * eta_sum
-
-
-def _pgl_insert_elliptic(table: CharacterTable, lams: tuple, s):
-    q = table.q
-    F, E = table.ctx.field, table.ctx.ext
-    r = len(lams)
-    half = Fraction(1, 2)
-    sign = (-1) ** r
-    eta_sum = 0
-    for flags in product((False, True), repeat=r):
-        prod = E.pack(1, 0)
-        for lam, conj in zip(lams, flags):
-            prod = E.mul(prod, E.frobenius(lam) if conj else lam)
-        term = (q + 1) * (1 if E.in_base(prod) else 0) - 1
-        if q % 2:
-            term -= epsilon_E_value(E, prod)
-        eta_sum += term
-    main = 1 + sign * _ipow(q, s, r)
-    if q % 2:
-        norms = 1
-        for lam in lams:
-            norms = F.mul(norms, E.norm(lam))
-        main = main * (1 + epsilon_value(E, norms))
-    return main + sign * half * _ipow(q - 1, s, r) * eta_sum
-
-
-def _pgl_insert_mixed(table: CharacterTable, xs: tuple, lams: tuple, s):
-    q = table.q
-    F, E = table.ctx.field, table.ctx.ext
-    r = len(xs) + len(lams)
-    n_ell = len(lams)
-    main = 1 + (-1) ** n_ell * _ipow(q, s, r)
-    if q % 2 == 0:
-        return main
-    prod = 1
-    for x in xs:
-        prod = F.mul(prod, x)
-    for lam in lams:
-        prod = F.mul(prod, E.norm(lam))
-    return main * (1 + epsilon_value(E, prod))
+        hit = 1 if sum(sg * k for sg, k in zip(signs, ks)) % m == 0 else 0
+        eta_sum += m * hit - 1 - eps
+    return main + sign * Fraction(1, 2) * _ipow(base, s, r) * eta_sum
 
 
 def zeta_insert_closed(table: CharacterTable, insertions, s):
@@ -277,14 +233,8 @@ def zeta_insert_closed(table: CharacterTable, insertions, s):
     kinds = tuple(c.kind for c in insertions)
     if r == 1 and kinds == ("unipotent",):
         return _pgl_insert_unipotent(table, s)
-    if all(k == "diagonal" for k in kinds):
-        return _pgl_insert_diagonal(table, tuple(c.params[0] for c in insertions), s)
-    if all(k == "elliptic" for k in kinds):
-        return _pgl_insert_elliptic(table, tuple(c.params[0] for c in insertions), s)
-    if set(kinds) == {"diagonal", "elliptic"}:
-        xs = tuple(c.params[0] for c in insertions if c.kind == "diagonal")
-        lams = tuple(c.params[0] for c in insertions if c.kind == "elliptic")
-        return _pgl_insert_mixed(table, xs, lams, s)
+    if set(kinds) <= {"diagonal", "elliptic"}:
+        return _pgl_insert_closed(table, insertions, s)
     raise ClosedFormUnavailable(f"no closed form for insertion pattern {kinds}")
 
 

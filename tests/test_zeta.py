@@ -150,7 +150,7 @@ def test_pgl_displayed_one_insertion_forms():
                     assert zeta_insert(T, [c], s) == want
 
 
-@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27])
 def test_pgl_multi_insertion_closed_equals_generic(q):
     T = char_table("pgl", q)
     diag = [c for c in T.ctx.classes if c.kind == "diagonal"]
@@ -162,6 +162,36 @@ def test_pgl_multi_insertion_closed_equals_generic(q):
         for combo in combos:
             for s in (-2, 0, 1, 3):
                 assert zeta_insert_closed(T, combo, s) == zeta_insert(T, combo, s)
+
+
+def test_insert_closed_reads_no_field(monkeypatch):
+    """The closed insertion forms are integer arithmetic on the class dlogs:
+    with the field methods and the epsilon helpers patched to raise, every
+    pattern gives the value recorded before the patch."""
+    from gl2zeta import chars
+    from gl2zeta.ffield import ExtField, Field
+
+    cases = []
+    for q in (8, 9):
+        for g in ("gl", "pgl"):
+            T = char_table(g, q)
+            cases += [(T, (c,)) for c in T.ctx.classes if c.kind != "identity"]
+        P = char_table("pgl", q)
+        de = [c for c in P.ctx.classes if c.kind in ("diagonal", "elliptic")]
+        cases += [(P, p) for r in (2, 3) for p in combinations_with_replacement(de, r)]
+    want = [[zeta_insert_closed(T, p, s) for s in (-1, 2)] for T, p in cases]
+
+    def forbidden(*args):
+        raise AssertionError("field method called by a closed form")
+
+    for owner, names in ((Field, ("mul", "inv", "dlog")),
+                         (ExtField, ("mul", "norm", "frobenius", "in_base", "is_square")),
+                         (chars, ("epsilon_value", "epsilon_E_value"))):
+        for name in names:
+            monkeypatch.setattr(owner, name, forbidden)
+    with pytest.raises(AssertionError):
+        chars.epsilon_value(char_table("pgl", 9).ctx.ext, 1)
+    assert [[zeta_insert_closed(T, p, s) for s in (-1, 2)] for T, p in cases] == want
 
 
 def test_pgl_mixed_insertion_form():
