@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -220,15 +221,56 @@ def test_library_value_errors_exit_one(capsys):
                           "--insert", "c1:0", "--both") == 1
 
 
-def test_both_difference_when_only_closed_form_is_complex(capsys, monkeypatch):
+def test_both_catches_a_closed_form_off_by_1e_minus_15(capsys, monkeypatch):
+    # a float tolerance would call this a match; the polynomials differ
     import gl2zeta.cli as cli
+    from gl2zeta.zeta import Dirichlet
 
     exact = cli.zeta_closed_gl
-    monkeypatch.setattr(cli, "zeta_closed_gl", lambda q, s: complex(exact(q, s)))
-    code, out = run(capsys, "zeta", "--q", "3", "--s", "2", "--both", "--format", "json")
+
+    def nudged(q, s):
+        poly = exact(q, None)
+        return Dirichlet([*poly.coeffs.items(), (q, Fraction(1, 10**15))]).at(s)
+
+    monkeypatch.setattr(cli, "zeta_closed_gl", nudged)
+    code, out = run(capsys, "zeta", "--q", "3", "--s", "1.5", "--both", "--format", "json")
     doc = json.loads(out)
-    assert code == 0 and doc["match"] is True
-    assert doc["difference"] == {"float": [0.0, 0.0]}
+    assert code == 2 and doc["match"] is False
+    assert doc["difference"] != {"float": [0.0, 0.0]}
+
+
+EXACT_S = ["0.5", "-1.25", "1+2j"]
+
+
+def _both_argvs(group: str, q: int):
+    """Every `zeta --both` pattern with a closed form at this q: the plain
+    zeta, each FS filter, the GL double, one insertion of each class kind
+    and, for PGL, a split+elliptic pair."""
+    yield ()
+    for fs in ("+1", "0", "-1"):
+        yield ("--fs", fs)
+    if group == "gl2":
+        yield ("--double",)
+        specs = ["c1:0", "c2:0", f"c4:{q - 1}"] + (["c3:0,1"] if q > 2 else [])
+    else:
+        specs = ["c2:0", "c4:1"] + (["c3:1"] if q > 2 else [])
+    for spec in specs:
+        yield ("--insert", spec)
+    if group == "pgl2" and q > 2:
+        yield ("--insert", "c3:1", "--insert", "c4:1")
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+@pytest.mark.parametrize("group", ["gl2", "pgl2"])
+def test_both_is_exact_at_non_integer_s(capsys, group, q):
+    for extra in _both_argvs(group, q):
+        for s in EXACT_S:
+            code, out = run(capsys, "zeta", "--group", group, "--q", str(q), "--s", s,
+                            *extra, "--both", "--format", "json")
+            doc = json.loads(out)
+            assert code == 0 and doc["match"] is True, (s, extra)
+            assert doc["difference"] == {"float": [0.0, 0.0]}, (s, extra)
+            assert doc["generic"] == doc["closed_form"], (s, extra)
 
 
 def test_zeta_both_evaluates_each_side_once(capsys, monkeypatch):

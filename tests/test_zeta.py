@@ -7,6 +7,7 @@ from conftest import char_table
 from gl2zeta.grp import ConjClass, mat_det
 from gl2zeta.zeta import (
     ClosedFormUnavailable,
+    Dirichlet,
     zeta,
     zeta_closed_gl,
     zeta_closed_pgl,
@@ -249,9 +250,8 @@ def test_float_path_matches_exact():
         T = char_table(g, q)
         closed = zeta_closed_gl if g == "gl" else zeta_closed_pgl
         for s in (0.5, 1.25, 2 + 0.5j):
-            a = zeta(T, s)
-            b = closed(q, s)
-            assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
+            # one polynomial, one evaluation: the floats agree bit for bit
+            assert zeta(T, s) == closed(q, s)
         # integer point: float path vs exact path
         exact = zeta(T, 2)
         approx = zeta(T, 2.0)
@@ -269,6 +269,39 @@ def test_insert_requires_matching_context():
         zeta_insert(T, [c_pgl], 0)
     with pytest.raises(ValueError):
         zeta_insert(T, [], 0)
+
+
+def test_both_insertion_evaluators_check_the_group():
+    Tp = char_table("pgl", 5)
+    gl_diag = next(c for c in char_table("gl", 5).ctx.classes if c.kind == "diagonal")
+    for fn in (zeta_insert, zeta_insert_closed):
+        with pytest.raises(ValueError, match="different group"):
+            fn(Tp, [gl_diag], 1)
+        with pytest.raises(ValueError, match="at least one"):
+            fn(Tp, [], 1)
+
+
+def test_dirichlet_merges_bases_and_drops_zeros():
+    p = Dirichlet([(1, 1), (3, Fraction(1, 2)), (1, 2), (5, 0), (3, Fraction(-1, 2))])
+    assert p.coeffs == {1: 3} and p == Dirichlet([(1, 3)])
+    assert p - p == Dirichlet() and p != Dirichlet([(1, 3), (2, 1)])
+    assert p.at(None) is p
+    two = Dirichlet([(2, 1)])
+    assert two.at(-3) == 8 and isinstance(two.at(-3), Fraction)
+    assert two.at(-3.0) == 8 + 0j and isinstance(two.at(-3.0), complex)
+    assert Dirichlet().at(0.5) == 0 and isinstance(Dirichlet().at(0.5), complex)
+
+
+@pytest.mark.parametrize("q", ALL_Q)
+def test_closed_forms_equal_generic_as_polynomials(q):
+    # at q = 2 the cuspidal base q - 1 is the constant term's base 1
+    gl, pgl = char_table("gl", q), char_table("pgl", q)
+    assert zeta_closed_gl(q, None) == zeta(gl, None)
+    assert zeta_closed_pgl(q, None) == zeta(pgl, None)
+    assert zeta_double_closed(q, None) == zeta_double(gl, None)
+    for eps in (-1, 0, 1):
+        assert zeta_fs_closed_gl(q, eps, None) == zeta_fs(gl, eps, None)
+        assert zeta_fs_closed_pgl(q, eps, None) == zeta_fs(pgl, eps, None)
 
 
 def test_insert_elements_wrapper():
