@@ -68,7 +68,7 @@ def ser_exact(v):
         f = v.to_float()
         return {
             "conductor": v.n,
-            "coeffs": [str(Fraction(c)) for c in v.canonical_coeffs()],
+            "coeffs": [str(c) for c in v.canonical_coeffs()],
             "float": [f.real, f.imag],
         }
     if isinstance(v, complex):

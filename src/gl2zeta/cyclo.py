@@ -1,8 +1,11 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
 Values are stored as exact rational combinations of powers of a fixed
-primitive n-th root of unity.  Equality, zero tests and rationality tests
-go through the canonical representative modulo the n-th cyclotomic
+primitive n-th root of unity.  A combination whose coefficients are
+constant on each Galois orbit {k : gcd(k, n) = d} is rational, and its
+value is read off the Ramanujan sums of the orbits (`_orbit_rational`);
+every other rationality test, and every equality and zero test, goes
+through the canonical representative modulo the n-th cyclotomic
 polynomial, so expressions that differ by a vanishing sum of roots of
 unity compare equal.
 """
@@ -12,6 +15,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 
 def divisors(n: int) -> list[int]:
@@ -42,6 +46,56 @@ def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
                 num[i + j] -= q * dj
     assert all(c == 0 for c in num), "non-exact polynomial division"
     return out
+
+
+@lru_cache(maxsize=None)
+def _orbit_weights(n: int) -> dict[int, tuple[int, int]]:
+    """d -> (phi(n/d), mu(n/d)) for every divisor d of n, from one
+    factorisation of n: the size of the orbit {k : gcd(k, n) = d} and the
+    sum of zeta_n^k over it (a Ramanujan sum)."""
+    primes, rest, p = [], n, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if rest > 1:
+        primes.append(rest)
+    out = {}
+    for d in divisors(n):
+        m = n // d
+        phi, mu = m, 1
+        for p in primes:
+            if m % p == 0:
+                phi = phi // p * (p - 1)
+                mu = 0 if m % (p * p) == 0 else -mu
+        out[d] = (phi, mu)
+    return out
+
+
+def _orbit_rational(n: int, terms: dict):
+    """The value of sum c_k zeta_n^k as a Fraction when c is constant on
+    every Galois orbit {k : gcd(k, n) = d}, else None.  Such a sum is
+    sum over d of c_d * mu(n/d), with no reduction mod Phi_n."""
+    orbits: dict[int, list] = {}
+    for k, c in terms.items():
+        d = gcd(k, n)
+        seen = orbits.get(d)
+        if seen is None:
+            orbits[d] = [c, 1]
+        elif seen[0] != c:
+            return None
+        else:
+            seen[1] += 1
+    weights = _orbit_weights(n)
+    total = 0
+    for d, (c, size) in orbits.items():
+        phi, mu = weights[d]
+        if size != phi:
+            return None
+        total += c * mu
+    return Fraction(total)
 
 
 @lru_cache(maxsize=None)
@@ -157,6 +211,9 @@ class CycNumber:
         """The value as a Fraction, or None when it is not rational."""
         if not self._terms.keys() - {0}:  # a constant needs no reduction
             return Fraction(self._terms.get(0, 0))
+        r = _orbit_rational(self.n, self._terms)
+        if r is not None:
+            return r
         canon = self.canonical_coeffs()
         if any(canon[1:]):
             return None

@@ -86,10 +86,14 @@ def zeta(table: CharacterTable, s):
     return Dirichlet(Counter(table.dims).items()).at(s)
 
 
-def zeta_fs(table: CharacterTable, eps: int, s):
-    """zeta restricted to irreps with the given Frobenius-Schur indicator."""
+def _check_eps(eps: int) -> None:
     if eps not in (-1, 0, 1):
         raise ValueError("eps must be -1, 0 or +1")
+
+
+def zeta_fs(table: CharacterTable, eps: int, s):
+    """zeta restricted to irreps with the given Frobenius-Schur indicator."""
+    _check_eps(eps)
     return Dirichlet((d, 1) for d, fs in zip(table.dims, table.fs) if fs == eps).at(s)
 
 
@@ -135,6 +139,7 @@ def zeta_closed_pgl(q: int, s):
 
 
 def zeta_fs_closed_gl(q: int, eps: int, s):
+    _check_eps(eps)
     if eps == -1:
         return Dirichlet().at(s)
     if eps == 1:
@@ -147,6 +152,7 @@ def zeta_fs_closed_gl(q: int, eps: int, s):
 
 
 def zeta_fs_closed_pgl(q: int, eps: int, s):
+    _check_eps(eps)
     if eps in (-1, 0):
         return Dirichlet().at(s)
     return zeta_closed_pgl(q, s)

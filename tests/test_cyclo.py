@@ -1,14 +1,23 @@
+import contextlib
+import io
+import json
 import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
+
 from conftest import cyc_product
+from gl2zeta import cyclo, reptheory
+from gl2zeta.cli import main
 from gl2zeta.cyclo import (
     CycNumber,
     cyclotomic_polynomial,
     divisors,
+    _orbit_rational,
     _poly_div_exact,
 )
+from gl2zeta.verify import run_verify
 
 
 def _conj(terms: dict, n: int) -> dict:
@@ -112,3 +121,102 @@ def test_str_rendering_deterministic():
     z = CycNumber(8, {1: 1, 0: 2})
     assert str(z) == str(CycNumber.from_monomials(8, [(2, 0), (1, 1)]))
     assert str(CycNumber(8, {0: Fraction(3, 4)})) == "3/4"
+
+
+# -- rational sums by Galois orbits -------------------------------------------
+
+
+def _orbit_constant(n: int, rng: random.Random) -> dict:
+    """A random {power: coefficient} dict, constant on each orbit
+    {k : gcd(k, n) = d}; about half of the orbits are left out."""
+    level = {d: rng.choice([0, 0, rng.randint(-9, 9), Fraction(rng.randint(-9, 9), 4)])
+             for d in divisors(n)}
+    return {k: level[gcd(k, n)] for k in range(n) if level[gcd(k, n)]}
+
+
+def _reduced(n: int, terms: dict):
+    """The value by reduction mod Phi_n, or None when it is not rational."""
+    canon = CycNumber(n, terms).canonical_coeffs()
+    return None if any(canon[1:]) else Fraction(canon[0])
+
+
+@pytest.mark.parametrize("n", [24, 63, 80, 255, 528, 4095])
+def test_orbit_rational_equals_reduction(n):
+    rng = random.Random(n)
+    for _ in range(2 if n == 4095 else 8):
+        terms = _orbit_constant(n, rng)
+        got = _orbit_rational(n, terms)
+        assert got is not None
+        assert got == _reduced(n, terms)
+        # perturbing one power in an orbit of size > 1 breaks orbit constancy
+        k = rng.choice([k for k in range(1, n) if 2 * k != n])
+        bumped = dict(terms)
+        bumped[k] = bumped.get(k, 0) + 1
+        assert _orbit_rational(n, bumped) is None
+        # the orbits {0} and {n/2} have one element (zeta^0 = 1, zeta^(n/2) = -1)
+        for k, shift in ((0, 1), (n // 2, -1)) if n % 2 == 0 else ((0, 1),):
+            bumped = dict(terms)
+            bumped[k] = bumped.get(k, 0) + 1
+            assert _orbit_rational(n, {j: c for j, c in bumped.items() if c}) == got + shift
+
+
+def test_orbit_rational_needs_complete_orbits():
+    # three of the four primitive 8th roots of unity sum to -zeta_8^7
+    assert _orbit_rational(8, {1: 1, 3: 1, 5: 1}) is None
+    assert _orbit_rational(8, {1: 1, 3: 1, 5: 1, 7: 1}) == 0  # mu(8)
+    assert _orbit_rational(12, {2: 3, 10: 3}) == 3  # 3 * mu(6)
+    assert _orbit_rational(12, {4: 1, 8: 1, 0: 2}) == 1  # mu(3) + 2 * mu(1)
+
+
+def test_norm_one_zeta_at_q64_builds_no_cyclotomic_polynomial(monkeypatch):
+    calls = {"cyclotomic_polynomial": 0, "_power_table": 0}
+    for name in calls:
+        original = getattr(cyclo, name)
+        original.cache_clear()
+
+        def counted(n, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(n)
+
+        monkeypatch.setattr(cyclo, name, counted)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["zeta", "--q", "64", "--s", "2", "--insert", "c4:63", "--both",
+                     "--format", "json"])
+    assert code == 0
+    doc = json.loads(out.getvalue())
+    assert doc["match"] is True and doc["generic"] != "0"
+    assert calls == {"cyclotomic_polynomial": 0, "_power_table": 0}
+
+
+# A cuspidal value negated on one elliptic class breaks Galois covariance, so
+# these sums fall back to the reduction mod Phi_n and fail exactly as they do
+# without the orbit test.
+MUTANT_FAILS_AT_Q5 = [
+    "character-table-orthogonality",
+    "fusion-closed-forms",
+    "fusion-dimension-identity",
+    "zeta-insertion-closed-forms",
+    "zeta-insertion-determinant-vanishing",
+    "boundary-insertions-vs-oracle",
+    "boundary-quotient-vs-oracle",
+    "theta-spectral-vs-enumerative",
+    "spectral-convolution-diagonalization",
+]
+
+
+def test_one_cell_sign_mutant_fails_the_same_checks(monkeypatch):
+    original = reptheory.CharacterTable._monomials
+
+    def mutant(self, pi, kind, d):
+        monos = original(self, pi, kind, d)
+        if (self.group, pi.kind, pi.params, kind, d) == ("gl", "cuspidal", (1,), "elliptic", (1,)):
+            return tuple((-c, k) for c, k in monos)
+        return monos
+
+    monkeypatch.setattr(reptheory.CharacterTable, "_monomials", mutant)
+    with_orbits = [(r.name, r.status, r.note) for r in run_verify(5)]
+    monkeypatch.setattr(cyclo, "_orbit_rational", lambda n, terms: None)
+    without = [(r.name, r.status, r.note) for r in run_verify(5)]
+    assert with_orbits == without
+    assert [name for name, status, _ in with_orbits if status != "pass"] == MUTANT_FAILS_AT_Q5

@@ -66,6 +66,15 @@ def test_fs_split(q):
             assert zeta_fs(T, 0, 3) == 0
 
 
+@pytest.mark.parametrize("closed", [zeta_fs_closed_gl, zeta_fs_closed_pgl])
+def test_fs_closed_rejects_bad_eps(closed):
+    # the generic zeta_fs rejects these; the closed forms returned the
+    # eps = 0 (GL) or eps = +1 (PGL) value for them
+    for eps in (2, 7, -2):
+        with pytest.raises(ValueError, match="eps must be -1, 0 or"):
+            closed(5, eps, 1)
+
+
 def test_insert_examples():
     T3 = char_table("gl", 3)
     c2 = ConjClass("gl", "unipotent", (1,))
